@@ -168,7 +168,8 @@ pub struct MetricsRegistry {
 }
 
 /// Renders a label set in canonical form: keys sorted, `{k="v",...}`,
-/// empty string for no labels.
+/// empty string for no labels. Values escape `\`, `"` and line feeds
+/// as the OpenMetrics text format requires.
 fn render_labels(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return String::new();
@@ -180,11 +181,17 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{k}=\"{}\"",
-            v.replace('\\', "\\\\").replace('"', "\\\"")
-        );
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
     }
     out.push('}');
     out
@@ -315,14 +322,20 @@ impl MetricsRegistry {
             .insert(render_labels(labels), Series::Gauge(value));
     }
 
-    /// Records an observation into a histogram series.
+    /// Records a batch of observations into a histogram series. An
+    /// empty batch records nothing and creates no series.
     ///
     /// # Panics
     ///
     /// Panics if `name` was not declared via
     /// [`MetricsRegistry::declare_histogram`] (histograms need a bucket
     /// layout, so auto-declaration is not possible).
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub fn observe(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        values: impl IntoIterator<Item = f64>,
+    ) {
         let family = self
             .families
             .get_mut(name)
@@ -331,18 +344,26 @@ impl MetricsRegistry {
             family.kind == MetricKind::Histogram,
             "metric `{name}` is not a histogram"
         );
-        let template = family
-            .buckets
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("histogram families always carry buckets"))
-            .like();
-        let series = family
-            .series
-            .entry(render_labels(labels))
-            .or_insert(Series::Histogram(template));
-        match series {
-            Series::Histogram(h) => h.observe(value),
-            _ => unreachable!("kind checked above"),
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
+        let Family {
+            buckets, series, ..
+        } = family;
+        let series = series.entry(render_labels(labels)).or_insert_with(|| {
+            Series::Histogram(
+                buckets
+                    .as_ref()
+                    .unwrap_or_else(|| unreachable!("histogram families always carry buckets"))
+                    .like(),
+            )
+        });
+        let Series::Histogram(h) = series else {
+            unreachable!("kind checked above")
+        };
+        for v in values {
+            h.observe(v);
         }
     }
 
@@ -523,15 +544,32 @@ mod tests {
         assert_eq!(render_labels(&[]), "");
         // Quotes and backslashes are escaped.
         assert_eq!(render_labels(&[("k", "a\"b")]), "{k=\"a\\\"b\"}");
+        assert_eq!(render_labels(&[("k", "a\\b")]), "{k=\"a\\\\b\"}");
+    }
+
+    /// A line feed in a label value is escaped, so it cannot split a
+    /// sample line of the text exposition.
+    #[test]
+    fn newlines_in_label_values_are_escaped() {
+        assert_eq!(render_labels(&[("k", "a\nb")]), "{k=\"a\\nb\"}");
+        let mut r = MetricsRegistry::new();
+        r.inc("c_total", &[("k", "two\nlines")], 1);
+        let text = r.to_openmetrics();
+        assert!(text.contains("c_total{k=\"two\\nlines\"} 1\n"));
+        // Every line is a comment or a whole sample.
+        for line in text.lines() {
+            assert!(
+                line.starts_with('#') || line.starts_with("c_total{"),
+                "{line}"
+            );
+        }
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_in_export() {
         let mut r = MetricsRegistry::new();
         r.declare_histogram("h", "test", Histogram::new(vec![1.0, 2.0]));
-        for v in [0.5, 1.5, 1.7, 9.0] {
-            r.observe("h", &[("s", "x")], v);
-        }
+        r.observe("h", &[("s", "x")], [0.5, 1.5, 1.7, 9.0]);
         let h = r.histogram("h", &[("s", "x")]).unwrap();
         assert_eq!(h.counts(), &[1, 2, 1]);
         assert_eq!(h.count(), 4);
@@ -558,7 +596,7 @@ mod tests {
             r.inc("b_total", &[("x", "1")], 1);
             r.set("a_gauge", &[("y", "2")], 0.25);
             r.declare_histogram("c_hist", "h", Histogram::exponential(1e-3, 10.0, 4));
-            r.observe("c_hist", &[], 0.02);
+            r.observe("c_hist", &[], [0.02]);
             r.to_openmetrics()
         };
         assert_eq!(build(), build());

@@ -1082,25 +1082,23 @@ pub fn record_observability(out: &ServingOutcome, obs: &mut Observer) {
         "Time to first token over admitted requests.",
         Histogram::exponential(1e-3, 2.0, 14),
     );
-    for &v in &out.ttft {
-        r.observe("laer_serve_ttft_seconds", &labels, v);
-    }
+    r.observe("laer_serve_ttft_seconds", &labels, out.ttft.iter().copied());
     r.declare_histogram(
         "laer_serve_tpot_seconds",
         "Time per output token over multi-token completions.",
         Histogram::exponential(1e-4, 2.0, 14),
     );
-    for &v in &out.tpot {
-        r.observe("laer_serve_tpot_seconds", &labels, v);
-    }
+    r.observe("laer_serve_tpot_seconds", &labels, out.tpot.iter().copied());
     r.declare_histogram(
         "laer_serve_queue_depth",
         "Admission-queue depth sampled once per scheduler step.",
         Histogram::linear(0.0, 4.0, 16),
     );
-    for &(_, depth) in &out.queue_depth {
-        r.observe("laer_serve_queue_depth", &labels, depth as f64);
-    }
+    r.observe(
+        "laer_serve_queue_depth",
+        &labels,
+        out.queue_depth.iter().map(|&(_, depth)| depth as f64),
+    );
 
     obs.journal.push(
         "serving",

@@ -61,11 +61,10 @@ impl SpanLabel {
     pub fn is_annotation(self) -> bool {
         matches!(self, SpanLabel::Fault | SpanLabel::Recovery)
     }
-}
 
-impl fmt::Display for SpanLabel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The label's display name, as it appears in traces and reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
             SpanLabel::AllToAll => "all-to-all",
             SpanLabel::ExpertCompute => "expert-compute",
             SpanLabel::Attention => "attention",
@@ -76,8 +75,13 @@ impl fmt::Display for SpanLabel {
             SpanLabel::Other => "other",
             SpanLabel::Fault => "fault",
             SpanLabel::Recovery => "recovery",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for SpanLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -519,7 +519,7 @@ fn run_with_demands_observed(
                 o.registry
                     .inc("laer_train_iterations_total", &[("system", name)], 1);
                 o.registry
-                    .observe("laer_train_step_seconds", &[("system", name)], t.total);
+                    .observe("laer_train_step_seconds", &[("system", name)], [t.total]);
                 if cfg.record_deps {
                     let report = critpath::critical_path(engine.timeline())
                         .unwrap_or_else(|| unreachable!("recording engine has a dep log"));
