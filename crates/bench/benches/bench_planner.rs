@@ -1,15 +1,17 @@
 //! Criterion bench for the expert layout solver (Fig. 11's quantity):
 //! full Alg. 2 plans across cluster sizes and capacities, plus the
-//! fleet-scale hot paths — lite routing with reused scratch and refine
+//! fleet-scale hot paths — the `ext-scale` plan and its Alg. 1
+//! placement at N1024, lite routing with reused scratch, and refine
 //! probes through the incremental vs from-scratch evaluator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laer_cluster::Topology;
+use laer_model::{GpuSpec, ModelPreset};
 use laer_planner::{
-    lite_route, lite_route_with, refine_layout, refine_layout_scratch, CostParams, Planner,
-    PlannerConfig, RouteScratch,
+    expert_relocation, lite_route, lite_route_with, refine_layout, refine_layout_scratch,
+    replica_allocation, CostParams, Planner, PlannerConfig, RouteScratch,
 };
 use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 
@@ -48,6 +50,37 @@ fn bench_plan(c: &mut Criterion) {
             |b, demand| b.iter(|| planner.plan(demand)),
         );
     }
+    group.finish();
+}
+
+/// The `ext-scale` configuration at N1024 — E16k4 latency-aware cost
+/// model, capacity 2, ε 8, seed-33 demand: one full `Planner::plan`
+/// (Alg. 2's candidate loop), and Alg. 1 alone on the proportional
+/// scheme.
+fn bench_fleet_plan(c: &mut Criterion) {
+    let (topo, demand, _) = scale_instance(1024);
+    let params = CostParams::from_model(
+        &ModelPreset::Mixtral8x7bE16k4.config(),
+        GpuSpec::a100(),
+        false,
+    )
+    .with_latency_aware(true);
+    let planner = Planner::new(PlannerConfig::new(2).with_epsilon(8), params, topo.clone());
+    let mut group = c.benchmark_group("planner_plan");
+    group.sample_size(10);
+    group.bench_with_input(
+        BenchmarkId::from_parameter("N1024"),
+        &demand,
+        |b, demand| b.iter(|| planner.plan(demand)),
+    );
+    group.finish();
+
+    let loads = demand.expert_loads();
+    let replicas = replica_allocation(&loads, 1024, 2);
+    let mut group = c.benchmark_group("expert_relocation");
+    group.bench_with_input(BenchmarkId::from_parameter("N1024"), &replicas, |b, rep| {
+        b.iter(|| expert_relocation(rep, &loads, &topo, 2))
+    });
     group.finish();
 }
 
@@ -131,6 +164,7 @@ fn bench_refine_probes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_plan,
+    bench_fleet_plan,
     bench_dedup,
     bench_lite_route,
     bench_refine_probes

@@ -37,8 +37,8 @@ use laer_fsep::{schedule_iteration, ScheduleOptions};
 use laer_model::{GpuSpec, ModelPreset};
 use laer_obs::{gate_snapshots, BenchSnapshot, GateReport, SnapshotRow};
 use laer_planner::{
-    lite_route, refine_layout, refine_layout_scratch, time_cost, CostParams, ExpertLayout, Plan,
-    Planner, PlannerConfig, TokenRouting,
+    lite_route, refine_layout, refine_layout_scratch, time_cost, CostBreakdown, CostParams,
+    ExpertLayout, Plan, Planner, PlannerConfig, TokenRouting,
 };
 use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingMatrix};
 use laer_sim::Engine;
@@ -143,13 +143,15 @@ struct PlanShared {
     loads: Vec<u64>,
 }
 
-/// One size's pooled candidate evaluations, pending execution.
+/// One size's pooled candidate pricings, pending execution.
 pub struct PendingPlan {
-    cells: Vec<Slot<Plan>>,
+    shared: Arc<PlanShared>,
+    cells: Vec<Slot<(ExpertLayout, CostBreakdown)>>,
 }
 
 /// Submits one pool cell per deduplicated candidate scheme of the
-/// `devices`-GPU instance.
+/// `devices`-GPU instance. A cell prices its candidate without routing
+/// it ([`Planner::price_candidate`]).
 pub fn submit_plan_cells(batch: &mut Batch, devices: usize) -> PendingPlan {
     let planner = planner_for(topo_for(devices));
     let demand = demand_for(devices);
@@ -168,28 +170,37 @@ pub fn submit_plan_cells(batch: &mut Batch, devices: usize) -> PendingPlan {
             batch.submit(format!("ext-scale/N{devices}/scheme{i}"), move || {
                 shared
                     .planner
-                    .evaluate_scheme(&scheme, &shared.loads, &shared.demand)
+                    .price_candidate(&scheme, &shared.loads, &shared.demand)
             })
         })
         .collect();
-    PendingPlan { cells }
+    PendingPlan { shared, cells }
 }
 
 /// Selects the winning candidate from executed cells exactly like the
-/// serial tuner: strict `<` on the predicted total, first wins ties.
+/// serial tuner — strict `<` on the predicted total, first wins ties —
+/// and routes only the winner.
 pub fn select_winner(pending: PendingPlan) -> (usize, Plan) {
-    let mut best: Option<(usize, Plan)> = None;
+    let mut best: Option<(usize, ExpertLayout, CostBreakdown)> = None;
     for (i, slot) in pending.cells.into_iter().enumerate() {
-        let plan = slot.take();
-        let better = match &best {
-            None => true,
-            Some((_, b)) => plan.predicted.total() < b.predicted.total(),
-        };
-        if better {
-            best = Some((i, plan));
+        let (layout, predicted) = slot.take();
+        if best
+            .as_ref()
+            .is_none_or(|(_, _, b)| predicted.total() < b.total())
+        {
+            best = Some((i, layout, predicted));
         }
     }
-    best.unwrap_or_else(|| unreachable!("the tuner always emits at least the proportional scheme"))
+    let Some((i, layout, predicted)) = best else {
+        unreachable!("the tuner always emits at least the proportional scheme")
+    };
+    let shared = &pending.shared;
+    (
+        i,
+        shared
+            .planner
+            .route_winner(&shared.demand, layout, predicted),
+    )
 }
 
 /// Plans the `devices`-GPU instance across `workers` pool threads —

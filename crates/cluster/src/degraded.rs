@@ -142,13 +142,10 @@ impl Interconnect for DegradedView {
         self.base.link_kind(a, b)
     }
 
-    fn bandwidth(&self, a: DeviceId, b: DeviceId) -> f64 {
+    fn link(&self, a: DeviceId, b: DeviceId) -> (LinkKind, f64, f64) {
         // Local "links" stay infinite bandwidth regardless of factors.
-        self.base.bandwidth(a, b) * self.link_factor(a, b)
-    }
-
-    fn latency(&self, a: DeviceId, b: DeviceId) -> f64 {
-        self.base.latency(a, b)
+        let (kind, bw, lat) = self.base.link(a, b);
+        (kind, bw * self.link_factor(a, b), lat)
     }
 }
 

@@ -245,23 +245,28 @@ impl Topology {
     /// fast (`f64::INFINITY`), making `volume / bw` zero for local moves.
     #[inline]
     pub fn bandwidth(&self, a: DeviceId, b: DeviceId) -> f64 {
-        match self.link_kind(a, b) {
-            LinkKind::Local => f64::INFINITY,
-            LinkKind::IntraNode => self.intra_bw,
-            LinkKind::InterNode => self.inter_bw,
-            LinkKind::InterRack => self.rack_bw,
-        }
+        self.link(a, b).1
     }
 
     /// Link latency (alpha term) between two devices, in seconds.
     #[inline]
     pub fn latency(&self, a: DeviceId, b: DeviceId) -> f64 {
-        match self.link_kind(a, b) {
-            LinkKind::Local => 0.0,
-            LinkKind::IntraNode => self.intra_latency,
-            LinkKind::InterNode => self.inter_latency,
-            LinkKind::InterRack => self.rack_latency,
-        }
+        self.link(a, b).2
+    }
+
+    /// Kind, bandwidth and latency of the `a`–`b` link, classifying the
+    /// link once. The one table from link kind to bandwidth and latency;
+    /// [`Self::bandwidth`] and [`Self::latency`] read it.
+    #[inline]
+    pub fn link(&self, a: DeviceId, b: DeviceId) -> (LinkKind, f64, f64) {
+        let kind = self.link_kind(a, b);
+        let (bw, lat) = match kind {
+            LinkKind::Local => (f64::INFINITY, 0.0),
+            LinkKind::IntraNode => (self.intra_bw, self.intra_latency),
+            LinkKind::InterNode => (self.inter_bw, self.inter_latency),
+            LinkKind::InterRack => (self.rack_bw, self.rack_latency),
+        };
+        (kind, bw, lat)
     }
 
     /// Intra-node bandwidth `B_intra` in bytes/second.

@@ -16,7 +16,7 @@
 //! * `T_comp = (3 + F_ckpt) · max_i V_comp · Σ_{j,k} S[k][j][i] / B_comp`.
 
 use crate::token_routing::TokenRouting;
-use laer_cluster::{Interconnect, LinkKind};
+use laer_cluster::{DeviceId, Interconnect, LinkKind};
 use laer_model::{CostModel, GpuSpec, ModelConfig, ModelPreset};
 use serde::{Deserialize, Serialize};
 
@@ -134,20 +134,95 @@ impl CostBreakdown {
     }
 }
 
-/// Effective point-to-point bandwidth used by both the planner and the
-/// simulator: NVLink per device, NIC shared per node. Generic over
-/// [`Interconnect`] so degraded network views price faults directly.
-pub(crate) fn effective_bw<I: Interconnect + ?Sized>(
+/// Effective point-to-point bandwidth and latency of the `a`–`b` link,
+/// from one [`Interconnect::link`] query: NVLink per device, NIC shared
+/// per node, rack spine shared per rack. Generic over [`Interconnect`]
+/// so degraded network views price faults directly.
+pub(crate) fn link_terms<I: Interconnect + ?Sized>(
     net: &I,
-    a: laer_cluster::DeviceId,
-    b: laer_cluster::DeviceId,
-) -> f64 {
-    match net.link_kind(a, b) {
+    a: DeviceId,
+    b: DeviceId,
+) -> (f64, f64) {
+    let (kind, bw, latency) = net.link(a, b);
+    let effective = match kind {
         LinkKind::Local => f64::INFINITY,
-        LinkKind::IntraNode => net.bandwidth(a, b),
-        LinkKind::InterNode => net.bandwidth(a, b) / net.devices_per_node() as f64,
+        LinkKind::IntraNode => bw,
+        LinkKind::InterNode => bw / net.devices_per_node() as f64,
         // The rack spine is shared by every device in the rack.
-        LinkKind::InterRack => net.bandwidth(a, b) / net.devices_per_rack().unwrap_or(1) as f64,
+        LinkKind::InterRack => bw / net.devices_per_rack().unwrap_or(1) as f64,
+    };
+    (effective, latency)
+}
+
+impl CostParams {
+    /// Eq. 2's pairwise term: `tokens` over a link with the given
+    /// [`link_terms`], plus its latency when latency-aware.
+    #[inline]
+    pub(crate) fn pair_time(&self, tokens: u64, (bw, latency): (f64, f64)) -> f64 {
+        let mut t = tokens as f64 * self.v_comm / bw;
+        if self.latency_aware {
+            t += latency;
+        }
+        t
+    }
+}
+
+/// Eq. 2's per-device fold, fed routed rows in entry order. [`time_cost`]
+/// and the tuner's route-and-price pass ([`crate::lite_routing`]) both
+/// fold through it, so they agree bit for bit.
+#[derive(Debug, Default)]
+pub(crate) struct CostAccumulator {
+    send: Vec<f64>,
+    recv: Vec<f64>,
+    loads: Vec<u64>,
+}
+
+impl CostAccumulator {
+    /// Clears the fold for `n` devices.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for v in [&mut self.send, &mut self.recv] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        self.loads.clear();
+        self.loads.resize(n, 0);
+    }
+
+    /// Folds one row: `tokens` of work land on `dst`, and a non-local
+    /// row's pairwise term is charged to `src`'s send and `dst`'s
+    /// receive time.
+    #[inline]
+    pub(crate) fn add<I: Interconnect + ?Sized>(
+        &mut self,
+        net: &I,
+        params: &CostParams,
+        src: DeviceId,
+        dst: DeviceId,
+        tokens: u64,
+    ) {
+        self.loads[dst.index()] += tokens;
+        if src == dst {
+            return;
+        }
+        let t = params.pair_time(tokens, link_terms(net, src, dst));
+        self.send[src.index()] += t;
+        self.recv[dst.index()] += t;
+    }
+
+    /// `T_comm` over the four A2A passes of one layer, from the
+    /// straggler's `max(send, recv)`, and `T_comp` from the straggler's
+    /// forward time times `(3 + F_ckpt)`.
+    pub(crate) fn finish(&self, params: &CostParams) -> CostBreakdown {
+        let straggler = self
+            .send
+            .iter()
+            .zip(&self.recv)
+            .map(|(&s, &r)| s.max(r))
+            .fold(0.0, f64::max);
+        let comm = 4.0 * straggler;
+        let max_load = self.loads.iter().copied().max().unwrap_or(0) as f64;
+        let comp = params.compute_multiplier() * max_load * params.v_comp / params.b_comp;
+        CostBreakdown { comm, comp }
     }
 }
 
@@ -157,36 +232,12 @@ pub fn time_cost<I: Interconnect + ?Sized>(
     routing: &TokenRouting,
     params: &CostParams,
 ) -> CostBreakdown {
-    let n = net.num_devices();
-    // T_comm: per-device send/receive times from the pairwise terms of
-    // Eq. 2, straggler max, over the four A2A passes of one layer.
-    let mut send = vec![0.0f64; n];
-    let mut recv = vec![0.0f64; n];
+    let mut acc = CostAccumulator::default();
+    acc.reset(net.num_devices().max(routing.num_devices()));
     for &(src, _, dst, tokens) in routing.entries() {
-        if src == dst {
-            continue;
-        }
-        let mut t = tokens as f64 * params.v_comm / effective_bw(net, src, dst);
-        if params.latency_aware {
-            t += net.latency(src, dst);
-        }
-        send[src.index()] += t;
-        recv[dst.index()] += t;
+        acc.add(net, params, src, dst, tokens);
     }
-    let straggler = send
-        .iter()
-        .zip(&recv)
-        .map(|(&s, &r)| s.max(r))
-        .fold(0.0, f64::max);
-    let comm = 4.0 * straggler;
-    // T_comp: the straggler device's forward time, times (3 + F_ckpt).
-    let max_load = routing
-        .device_compute_loads()
-        .into_iter()
-        .max()
-        .unwrap_or(0) as f64;
-    let comp = params.compute_multiplier() * max_load * params.v_comp / params.b_comp;
-    CostBreakdown { comm, comp }
+    acc.finish(params)
 }
 
 #[cfg(test)]

@@ -8,39 +8,45 @@
 //! of routing work (each with a sort and several allocations) when only
 //! the affected experts' columns can change: lite routing decides each
 //! `(source, expert)` cell *only* from that expert's replica placement,
-//! so a move touching experts `{a, b}` invalidates exactly the `2n`
+//! so a move touching experts `{a, b}` invalidates at most the `2n`
 //! cells of those two columns.
 //!
-//! [`IncrementalCost`] exploits this. It caches, per `(source, expert)`
-//! cell, the routed rows `(destination, tokens, t_comm)` — the inner
-//! terms of Eq. 2's per-device max-aggregation — and re-routes only the
-//! columns marked dirty by [`IncrementalCost::apply_retarget`] /
-//! [`IncrementalCost::apply_swap`]. Because Eq. 2 aggregates with `max`
-//! over per-device *sums*, the final fold cannot be maintained by
-//! subtract-and-add (floating-point sums are not reversible and the max
-//! is not decomposable); instead [`IncrementalCost::cost`] re-folds the
-//! cached rows in **exactly** the entry order of
-//! [`crate::lite_routing::lite_route`] + [`crate::cost::time_cost`]
-//! (sources ascending, experts ascending, targets in emission order).
-//! Same addends, same order, same accumulators — the result is
-//! bit-identical to the from-scratch oracle, which the property tests
-//! in `tests/proptests.rs` enforce. The fold is a cheap linear pass of
-//! pre-priced adds; the expensive per-cell work (target selection,
-//! largest-remainder sort, pricing) happens only for dirty columns.
+//! [`IncrementalCost`] exploits this, and narrows it further: a cell's
+//! Alg. 3 target list depends only on the expert's replica counts on the
+//! sender's node, or, when that node hosts none, on the expert's global
+//! replica list. A move therefore changes only the cells of the nodes
+//! whose counts changed and of the nodes that read the global list.
+//!
+//! * **Re-route.** Per `(source, expert)` cell the routed rows
+//!   `(destination, tokens, t_comm)` are cached — the inner terms of
+//!   Eq. 2's per-device max-aggregation. [`IncrementalCost::cost`]
+//!   re-routes only the stale nodes' cells of the columns the moves
+//!   touched and copies the rest.
+//! * **Re-fold.** Eq. 2 aggregates with `max` over per-device *sums*,
+//!   which cannot be kept by subtract-and-add (floating-point sums are
+//!   not reversible). So the per-device sums are cached, and only the
+//!   sums whose addends changed are re-folded from scratch: a source's
+//!   send sum when one of its cells changed, a destination's receive sum
+//!   when a row to it appeared, left or changed. Each is re-folded in
+//!   **exactly** the entry order of [`crate::cost::time_cost`] over
+//!   [`crate::lite_routing::lite_route`] (sources ascending, experts
+//!   ascending, targets in emission order); when that would visit more
+//!   cells than folding everything, everything is folded. Same addends,
+//!   same order — the result is bit-identical to the from-scratch
+//!   oracle, which the property tests in `tests/proptests.rs` enforce.
 //!
 //! Rows are stored per expert as one contiguous CSR-style column
-//! (`starts` offsets + a flat entry array): re-routing a column is a
-//! linear rebuild with no per-cell allocation, and the fold streams
-//! `e` contiguous cursors instead of chasing `n·e` heap pointers.
+//! (`starts` offsets + a flat entry array): re-routing is a linear
+//! rebuild into retained buffers with no per-cell allocation.
 //!
 //! [`IncrementalCost::apply_retarget`] / [`IncrementalCost::apply_swap`]
-//! snapshot the two affected columns (a pair of flat-array clones), so
-//! [`IncrementalCost::revert`] restores them by swap-back instead of
-//! re-routing — a rejected probe costs two column rebuilds total, not
-//! four. Routing stays a pure function of the layout either way; the
-//! snapshot is purely an optimisation.
+//! snapshot the two affected columns, and the cached sums when they are
+//! complete, so [`IncrementalCost::revert`] restores both by swap-back
+//! instead of re-routing and re-folding — a rejected probe costs one
+//! partial re-route and re-fold, not two. Routing stays a pure function
+//! of the layout either way; the snapshots are purely an optimisation.
 
-use crate::cost::{effective_bw, CostBreakdown, CostParams};
+use crate::cost::{link_terms, CostBreakdown, CostParams};
 use crate::layout::ExpertLayout;
 use crate::lite_routing::{distribute_evenly_into, RouteScratch};
 use crate::token_routing::TokenRouting;
@@ -50,47 +56,57 @@ use laer_routing::RoutingMatrix;
 /// Flat-array replica index: row-major `devices × experts` counts plus a
 /// per-expert device list kept sorted by device id, so both the refiner's
 /// guards (`replica_count`, `expert_replicas`) and lite routing's global
-/// fallback read without scanning or allocating.
+/// fallback read without scanning or allocating. Per-node counts and the
+/// per-expert list of nodes that host no replica (the nodes whose Alg. 3
+/// cells read the global list) say which cells a move can change.
 #[derive(Debug, Clone)]
 struct LayoutIndex {
     devices: usize,
     experts: usize,
     capacity: usize,
+    devices_per_node: usize,
     counts: Vec<u32>,
     /// Per expert: `(device, count)` with count > 0, ascending device id
     /// — the exact output order of [`ExpertLayout::replica_devices`].
     per_expert: Vec<Vec<(DeviceId, u32)>>,
     totals: Vec<usize>,
+    /// Row-major `nodes × experts` replica counts.
+    node_counts: Vec<u32>,
+    /// Per expert: ascending ids of the nodes hosting no replica of it.
+    fallback: Vec<Vec<u32>>,
 }
 
 impl LayoutIndex {
-    fn from_layout(layout: &ExpertLayout) -> Self {
+    fn from_layout(layout: &ExpertLayout, devices_per_node: usize) -> Self {
         let devices = layout.num_devices();
         let experts = layout.num_experts();
-        let counts = layout.replica_counts().to_vec();
-        let mut per_expert = vec![Vec::new(); experts];
-        let mut totals = vec![0usize; experts];
-        for d in 0..devices {
-            for (j, (pe, total)) in per_expert.iter_mut().zip(totals.iter_mut()).enumerate() {
-                let c = counts[d * experts + j];
-                if c > 0 {
-                    pe.push((DeviceId::new(d), c));
-                    *total += c as usize;
-                }
-            }
-        }
-        Self {
+        let nodes = devices / devices_per_node;
+        let mut index = Self {
             devices,
             experts,
             capacity: layout.capacity(),
-            counts,
-            per_expert,
-            totals,
+            devices_per_node,
+            counts: vec![0; devices * experts],
+            per_expert: vec![Vec::new(); experts],
+            totals: vec![0; experts],
+            node_counts: vec![0; nodes * experts],
+            fallback: vec![(0..nodes as u32).collect(); experts],
+        };
+        for (cell, &c) in layout.replica_counts().iter().enumerate() {
+            let (device, expert) = (DeviceId::new(cell / experts), ExpertId::new(cell % experts));
+            for _ in 0..c {
+                index.add_replica(device, expert);
+            }
         }
+        index
     }
 
     fn replica_count(&self, device: DeviceId, expert: ExpertId) -> u32 {
         self.counts[device.index() * self.experts + expert.index()]
+    }
+
+    fn node_of(&self, device: DeviceId) -> usize {
+        device.index() / self.devices_per_node
     }
 
     fn add_replica(&mut self, device: DeviceId, expert: ExpertId) {
@@ -101,6 +117,15 @@ impl LayoutIndex {
             Ok(pos) => list[pos].1 += 1,
             Err(pos) => list.insert(pos, (device, 1)),
         }
+        let node = self.node_of(device);
+        let on_node = &mut self.node_counts[node * self.experts + expert.index()];
+        if *on_node == 0 {
+            let fallback = &mut self.fallback[expert.index()];
+            if let Ok(pos) = fallback.binary_search(&(node as u32)) {
+                fallback.remove(pos);
+            }
+        }
+        *on_node += 1;
     }
 
     fn remove_replica(&mut self, device: DeviceId, expert: ExpertId) {
@@ -116,6 +141,15 @@ impl LayoutIndex {
             list.remove(pos);
         } else {
             list[pos].1 -= 1;
+        }
+        let node = self.node_of(device);
+        let on_node = &mut self.node_counts[node * self.experts + expert.index()];
+        *on_node -= 1;
+        if *on_node == 0 {
+            let fallback = &mut self.fallback[expert.index()];
+            if let Err(pos) = fallback.binary_search(&(node as u32)) {
+                fallback.insert(pos, node as u32);
+            }
         }
     }
 
@@ -152,24 +186,161 @@ impl LayoutIndex {
     }
 }
 
+/// One routed row: `(destination, tokens, t_comm)`, where `t_comm` is
+/// the pre-priced pairwise term of Eq. 2 (`+0.0` for local traffic,
+/// which `time_cost` skips and the fold adds as a no-op).
+type Row = (DeviceId, u64, f64);
+
 /// One expert's routed rows for every source device, CSR-style:
 /// `entries[starts[src]..starts[src + 1]]` is source `src`'s cell in
-/// lite routing's emission order. A re-route is a linear rebuild into
-/// the retained buffers — no per-cell allocation — and a snapshot is a
-/// pair of flat-array clones.
+/// lite routing's emission order, which is ascending destination id. A
+/// re-route is a linear rebuild into retained buffers — no per-cell
+/// allocation — and a snapshot is a pair of flat-array copies.
 #[derive(Debug, Clone, Default)]
 struct Column {
-    /// Prefix offsets into `entries`; length `devices + 1` once routed.
+    /// Prefix offsets into `entries`; length `devices + 1` once routed,
+    /// empty before the first route.
     starts: Vec<u32>,
-    /// `(destination, tokens, t_comm)` rows, sources ascending;
-    /// `t_comm` is the pre-priced pairwise term of Eq. 2 (`0` for local
-    /// traffic, which the fold skips as `time_cost` does).
-    entries: Vec<(DeviceId, u64, f64)>,
+    /// Rows, sources ascending.
+    entries: Vec<Row>,
+}
+
+impl Column {
+    /// Source `src`'s cell (empty while the column is unrouted).
+    fn cell(&self, src: usize) -> &[Row] {
+        match self.starts.get(src..src + 2) {
+            Some(&[lo, hi]) => &self.entries[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Which of a column's cells are out of date with the layout index.
+#[derive(Debug, Clone, Default)]
+struct Stale {
+    /// Every cell (the column has not been routed yet).
+    all: bool,
+    /// Nodes whose replica counts of the expert changed since the column
+    /// was routed. Their cells, and every cell of a node reading the
+    /// expert's (changed) global replica list, must be re-routed.
+    nodes: Vec<u32>,
+}
+
+impl Stale {
+    fn is_clean(&self) -> bool {
+        !self.all && self.nodes.is_empty()
+    }
+}
+
+/// A set of device indices: O(1) insert, clear in the set's size.
+#[derive(Debug, Default)]
+struct DeviceSet {
+    member: Vec<bool>,
+    list: Vec<usize>,
+}
+
+impl DeviceSet {
+    fn new(devices: usize) -> Self {
+        Self {
+            member: vec![false; devices],
+            list: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, device: usize) {
+        if !std::mem::replace(&mut self.member[device], true) {
+            self.list.push(device);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &d in &self.list {
+            self.member[d] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// The devices whose Eq. 2 sums must be re-folded before the next
+/// [`IncrementalCost::cost`].
+#[derive(Debug, Default)]
+struct FoldDirty {
+    /// Every sum (nothing has been folded yet).
+    all: bool,
+    send: DeviceSet,
+    recv: DeviceSet,
+}
+
+impl FoldDirty {
+    fn new(devices: usize) -> Self {
+        Self {
+            all: true,
+            send: DeviceSet::new(devices),
+            recv: DeviceSet::new(devices),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        !self.all && self.send.list.is_empty() && self.recv.list.is_empty()
+    }
+
+    /// Records that `src`'s cell may have changed from `old` to `new`.
+    /// If it did, moves the compute loads and marks `src`'s send sum and
+    /// the receive sum of every destination whose row appeared, left or
+    /// changed tokens. A row that stayed (`t_comm` is a function of
+    /// source, destination and tokens) is the same addend at the same
+    /// place in its destination's sum. Cells are sorted by destination,
+    /// so one merge pass finds the differing rows.
+    fn cell_changed(&mut self, loads: &mut [u64], src: usize, old: &[Row], new: &[Row]) {
+        let same = |a: &Row, b: &Row| a.0 == b.0 && a.1 == b.1;
+        if old.len() == new.len() && old.iter().zip(new).all(|(a, b)| same(a, b)) {
+            return;
+        }
+        for row in old {
+            loads[row.0.index()] -= row.1;
+        }
+        for row in new {
+            loads[row.0.index()] += row.1;
+        }
+        self.send.insert(src);
+        let (mut i, mut k) = (0, 0);
+        loop {
+            let dst = match (old.get(i), new.get(k)) {
+                (Some(a), Some(b)) if a.0 == b.0 => {
+                    (i, k) = (i + 1, k + 1);
+                    if a.1 == b.1 {
+                        continue;
+                    }
+                    a.0
+                }
+                (Some(a), Some(b)) if a.0 < b.0 => {
+                    i += 1;
+                    a.0
+                }
+                (Some(a), None) => {
+                    i += 1;
+                    a.0
+                }
+                (_, Some(b)) => {
+                    k += 1;
+                    b.0
+                }
+                (None, None) => break,
+            };
+            self.recv.insert(dst.index());
+        }
+    }
+
+    fn clear(&mut self) {
+        self.all = false;
+        self.send.clear();
+        self.recv.clear();
+    }
 }
 
 /// A move recorded for [`IncrementalCost::revert`]. Undo applies the
 /// inverse index update and restores the two affected columns (and
-/// their dirty flags) from the snapshots taken at apply time — routing
+/// their staleness) from the snapshots taken at apply time — routing
 /// is a pure function of the layout, so the snapshot rows are exactly
 /// what a re-route would reproduce.
 #[derive(Debug, Clone, Copy)]
@@ -190,14 +361,26 @@ enum Move {
 #[derive(Debug)]
 struct UndoEntry {
     mv: Move,
-    /// `(expert, column snapshot, was-dirty)` for the two experts the
+    /// `(expert, column snapshot, staleness)` for the two experts the
     /// move touches, captured before the index update.
-    snaps: [(usize, Column, bool); 2],
+    snaps: [(usize, Column, Stale); 2],
+    /// The cached fold, when the move was applied to a fully folded
+    /// state (see [`IncrementalCost::revert`]).
+    fold: Option<FoldSnapshot>,
+}
+
+/// A copy of the cached fold: per-device send and receive sums and
+/// compute loads.
+#[derive(Debug, Default)]
+struct FoldSnapshot {
+    send: Vec<f64>,
+    recv: Vec<f64>,
+    loads: Vec<u64>,
 }
 
 /// Incrementally-maintained Eq. 2 evaluation state: the current layout
-/// (as a flat index), the routed rows it implies, and scratch for the
-/// per-device aggregation fold. See the module docs for the design.
+/// (as a flat index), the routed rows it implies, and the per-device
+/// aggregates of the last fold. See the module docs for the design.
 #[derive(Debug)]
 pub struct IncrementalCost<'a> {
     topo: &'a Topology,
@@ -206,17 +389,32 @@ pub struct IncrementalCost<'a> {
     index: LayoutIndex,
     /// One CSR column per expert (see [`Column`]).
     columns: Vec<Column>,
-    dirty: Vec<bool>,
-    any_dirty: bool,
+    stale: Vec<Stale>,
     undo: Vec<UndoEntry>,
+    /// Column and fold buffers retired by re-routes and reverts, reused
+    /// for the next re-route or snapshot.
+    pool: Vec<Column>,
+    fold_pool: Vec<FoldSnapshot>,
     scratch: RouteScratch,
+    /// Per-node re-route flags of the column being rebuilt.
+    reroute: Vec<bool>,
+    /// Per-target link terms of the node being routed.
+    terms: Vec<(f64, f64)>,
+    /// Per-device Eq. 2 send/recv sums of the last fold.
     send: Vec<f64>,
     recv: Vec<f64>,
-    /// Per-device compute loads, maintained incrementally as columns are
-    /// rebuilt or restored. Integer sums are exact and order-free, so
+    dirty: FoldDirty,
+    /// Per-column read positions of the full fold.
+    cursors: Vec<usize>,
+    /// Experts hosted by, and source nodes sending to, the device whose
+    /// receive sum is being re-folded.
+    hosted: Vec<usize>,
+    senders: Vec<u32>,
+    /// Per-device compute loads, maintained incrementally as cells are
+    /// re-routed or restored. Integer sums are exact and order-free, so
     /// unlike the float send/recv aggregates they need no re-fold —
     /// the invariant is `device_loads == Σ tokens per destination over
-    /// every column's current entries`, dirty or not.
+    /// every column's current entries`.
     device_loads: Vec<u64>,
 }
 
@@ -239,21 +437,32 @@ impl<'a> IncrementalCost<'a> {
         assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
         assert_eq!(layout.num_devices(), topo.num_devices(), "layout devices");
         assert_eq!(layout.num_experts(), demand.num_experts(), "expert count");
-        let index = LayoutIndex::from_layout(layout);
+        let index = LayoutIndex::from_layout(layout, topo.devices_per_node());
         let n = index.devices;
         let e = index.experts;
+        let all = Stale {
+            all: true,
+            nodes: Vec::new(),
+        };
         Self {
             topo,
             demand,
             params: *params,
             index,
             columns: vec![Column::default(); e],
-            dirty: vec![true; e],
-            any_dirty: true,
+            stale: vec![all; e],
             undo: Vec::new(),
+            pool: Vec::new(),
+            fold_pool: Vec::new(),
             scratch: RouteScratch::new(),
+            reroute: Vec::new(),
+            terms: Vec::new(),
             send: vec![0.0; n],
             recv: vec![0.0; n],
+            dirty: FoldDirty::new(n),
+            cursors: Vec::with_capacity(e),
+            hosted: Vec::new(),
+            senders: Vec::new(),
             device_loads: vec![0; n],
         }
     }
@@ -279,11 +488,13 @@ impl<'a> IncrementalCost<'a> {
     /// (the refiner's retarget move), recording it for [`Self::revert`].
     /// Only the two experts' routing columns are invalidated.
     pub fn apply_retarget(&mut self, device: DeviceId, from: ExpertId, to: ExpertId) {
-        let snaps = self.snapshot_pair(from.index(), to.index());
+        let snaps = [self.snapshot(from.index()), self.snapshot(to.index())];
+        let fold = self.snapshot_fold();
         self.raw_retarget(device, from, to);
         self.undo.push(UndoEntry {
             mv: Move::Retarget { device, from, to },
             snaps,
+            fold,
         });
     }
 
@@ -291,19 +502,35 @@ impl<'a> IncrementalCost<'a> {
     /// refiner's swap move), recording it for [`Self::revert`]. Only the
     /// two experts' routing columns are invalidated.
     pub fn apply_swap(&mut self, d1: DeviceId, a: ExpertId, d2: DeviceId, b: ExpertId) {
-        let snaps = self.snapshot_pair(a.index(), b.index());
+        let snaps = [self.snapshot(a.index()), self.snapshot(b.index())];
+        let fold = self.snapshot_fold();
         self.raw_swap(d1, a, d2, b);
         self.undo.push(UndoEntry {
             mv: Move::Swap { d1, a, d2, b },
             snaps,
+            fold,
         });
     }
 
-    fn snapshot_pair(&self, x: usize, y: usize) -> [(usize, Column, bool); 2] {
-        [
-            (x, self.columns[x].clone(), self.dirty[x]),
-            (y, self.columns[y].clone(), self.dirty[y]),
-        ]
+    /// Copies column `j` and its staleness into a pooled buffer.
+    fn snapshot(&mut self, j: usize) -> (usize, Column, Stale) {
+        let mut col = self.pool.pop().unwrap_or_default();
+        col.starts.clone_from(&self.columns[j].starts);
+        col.entries.clone_from(&self.columns[j].entries);
+        (j, col, self.stale[j].clone())
+    }
+
+    /// Copies the cached fold into a pooled buffer when it is complete:
+    /// no column is stale and no device awaits a re-fold.
+    fn snapshot_fold(&mut self) -> Option<FoldSnapshot> {
+        let complete = self.dirty.is_empty() && self.stale.iter().all(Stale::is_clean);
+        complete.then(|| {
+            let mut fold = self.fold_pool.pop().unwrap_or_default();
+            fold.send.clone_from(&self.send);
+            fold.recv.clone_from(&self.recv);
+            fold.loads.clone_from(&self.device_loads);
+            fold
+        })
     }
 
     /// Undoes the most recent un-reverted [`Self::apply_retarget`] /
@@ -312,6 +539,13 @@ impl<'a> IncrementalCost<'a> {
     /// re-route — the snapshot rows are what re-routing the restored
     /// layout would produce). Returns `false` if there is nothing to
     /// revert.
+    ///
+    /// If the move was applied to a complete fold, revert restores that
+    /// fold too, so the next [`Self::cost`] re-folds nothing: every
+    /// later move was reverted before this one, so the columns are back
+    /// to exactly the apply-time rows the copied fold was taken from.
+    /// Otherwise the cells that differ from the snapshots are marked
+    /// for re-folding.
     pub fn revert(&mut self) -> bool {
         let Some(entry) = self.undo.pop() else {
             return false;
@@ -328,17 +562,32 @@ impl<'a> IncrementalCost<'a> {
                 self.index.add_replica(d2, b);
             }
         }
-        for (j, col, was_dirty) in entry.snaps {
-            for &(dst, tokens, _) in &self.columns[j].entries {
-                self.device_loads[dst.index()] -= tokens;
+        if let Some(mut fold) = entry.fold {
+            for (j, col, stale) in entry.snaps {
+                let retired = std::mem::replace(&mut self.columns[j], col);
+                self.pool.push(retired);
+                self.stale[j] = stale;
             }
-            for &(dst, tokens, _) in &col.entries {
-                self.device_loads[dst.index()] += tokens;
-            }
-            self.columns[j] = col;
-            self.dirty[j] = was_dirty;
+            std::mem::swap(&mut self.send, &mut fold.send);
+            std::mem::swap(&mut self.recv, &mut fold.recv);
+            std::mem::swap(&mut self.device_loads, &mut fold.loads);
+            self.fold_pool.push(fold);
+            self.dirty.clear();
+            return true;
         }
-        self.any_dirty = self.dirty.iter().any(|&d| d);
+        for (j, col, stale) in entry.snaps {
+            // Cells that differ between the current and restored rows
+            // move the loads and need a re-fold.
+            let current = &self.columns[j];
+            for src in 0..self.index.devices {
+                let (now, then) = (current.cell(src), col.cell(src));
+                self.dirty
+                    .cell_changed(&mut self.device_loads, src, now, then);
+            }
+            let retired = std::mem::replace(&mut self.columns[j], col);
+            self.pool.push(retired);
+            self.stale[j] = stale;
+        }
         true
     }
 
@@ -351,11 +600,11 @@ impl<'a> IncrementalCost<'a> {
     pub fn set_device_experts(&mut self, device: DeviceId, remove: &[usize], add: &[usize]) {
         for &j in remove {
             self.index.remove_replica(device, ExpertId::new(j));
-            self.mark_dirty(j);
+            self.mark_stale(j, device);
         }
         for &j in add {
             self.index.add_replica(device, ExpertId::new(j));
-            self.mark_dirty(j);
+            self.mark_stale(j, device);
         }
         self.undo.clear();
     }
@@ -363,8 +612,8 @@ impl<'a> IncrementalCost<'a> {
     fn raw_retarget(&mut self, device: DeviceId, from: ExpertId, to: ExpertId) {
         self.index.remove_replica(device, from);
         self.index.add_replica(device, to);
-        self.mark_dirty(from.index());
-        self.mark_dirty(to.index());
+        self.mark_stale(from.index(), device);
+        self.mark_stale(to.index(), device);
     }
 
     fn raw_swap(&mut self, d1: DeviceId, a: ExpertId, d2: DeviceId, b: ExpertId) {
@@ -372,126 +621,150 @@ impl<'a> IncrementalCost<'a> {
         self.index.remove_replica(d2, b);
         self.index.add_replica(d1, b);
         self.index.add_replica(d2, a);
-        self.mark_dirty(a.index());
-        self.mark_dirty(b.index());
-    }
-
-    fn mark_dirty(&mut self, expert: usize) {
-        self.dirty[expert] = true;
-        self.any_dirty = true;
-    }
-
-    /// Re-routes dirty columns.
-    fn flush(&mut self) {
-        if !self.any_dirty {
-            return;
+        for (j, device) in [(a, d1), (a, d2), (b, d1), (b, d2)] {
+            self.mark_stale(j.index(), device);
         }
+    }
+
+    /// Records that `device`'s replica count of `expert` changed.
+    fn mark_stale(&mut self, expert: usize, device: DeviceId) {
+        let node = self.index.node_of(device) as u32;
+        let nodes = &mut self.stale[expert].nodes;
+        if !nodes.contains(&node) {
+            nodes.push(node);
+        }
+    }
+
+    /// Re-routes the stale cells of every column.
+    fn flush(&mut self) {
         for j in 0..self.index.experts {
-            if self.dirty[j] {
-                self.dirty[j] = false;
+            if !self.stale[j].is_clean() {
                 self.reroute_expert(j);
             }
         }
-        self.any_dirty = false;
     }
 
-    /// Routes expert `j`'s column — one Alg. 3 cell per source device —
-    /// with the exact arithmetic of `lite_route`, pre-pricing each row
-    /// with `time_cost`'s pairwise term.
+    /// Rebuilds expert `j`'s column: the cells of stale nodes — those
+    /// whose replica counts changed, and those reading the expert's
+    /// global replica list, which changed with them — are re-routed
+    /// with the exact arithmetic of `lite_route`; every other node's
+    /// cells are copied. Changed cells update the loads and are marked
+    /// for the next fold.
     fn reroute_expert(&mut self, j: usize) {
-        let expert = ExpertId::new(j);
-        let v_comm = self.params.v_comm;
-        let latency_aware = self.params.latency_aware;
-        let topo = self.topo;
-        let col = &mut self.columns[j];
-        for &(dst, tokens, _) in &col.entries {
-            self.device_loads[dst.index()] -= tokens;
+        let stale = std::mem::take(&mut self.stale[j]);
+        let dpn = self.index.devices_per_node;
+        let nodes = self.index.devices / dpn;
+        self.reroute.clear();
+        self.reroute.resize(nodes, stale.all);
+        if !stale.all {
+            for &k in stale.nodes.iter().chain(&self.index.fallback[j]) {
+                self.reroute[k as usize] = true;
+            }
         }
+        let old = std::mem::take(&mut self.columns[j]);
+        let mut col = self.pool.pop().unwrap_or_default();
         col.starts.clear();
         col.entries.clear();
         col.starts.push(0);
-        let device_loads = &mut self.device_loads;
-        for node in topo.node_ids() {
-            // Alg. 3's target list depends only on `(expert, node)` —
-            // every source in the node shares it — so resolve it once
-            // per node instead of once per source.
-            self.index
-                .fill_targets(topo, expert, node, &mut self.scratch.targets);
-            // Single-target fast path, also hoisted per node: the whole
-            // cell goes to one destination — identical output to
-            // `distribute_evenly_into` (the share is exact, the
-            // remainder zero) — and the link kind from every non-local
-            // source in the node to that destination is the same, so
-            // the bandwidth/latency terms are resolved once. This is
-            // the common case at fleet scale, where layouts cover every
-            // node.
-            let single = if let [(only, _)] = self.scratch.targets[..] {
-                let rep = topo.devices_on(node).find(|&d| d != only);
-                let (bw, lat) = rep.map_or((f64::INFINITY, 0.0), |rep| {
-                    (effective_bw(topo, rep, only), topo.latency(rep, only))
-                });
-                Some((only, bw, lat))
-            } else {
-                None
-            };
-            for src in topo.devices_on(node) {
-                let tokens = self.demand.get(src, expert);
-                if tokens == 0 {
-                    col.starts.push(col.entries.len() as u32);
-                    continue;
-                }
-                assert!(
-                    !self.scratch.targets.is_empty(),
-                    "layout hosts no replica of {expert}; evaluate covering layouts only"
+        for node in 0..nodes {
+            let sources = node * dpn..(node + 1) * dpn;
+            if !self.reroute[node] {
+                let (lo, hi) = (old.starts[sources.start], old.starts[sources.end]);
+                let base = col.entries.len() as u32;
+                col.starts.extend(
+                    old.starts[sources.start + 1..=sources.end]
+                        .iter()
+                        .map(|&s| s - lo + base),
                 );
-                if let Some((only, bw, lat)) = single {
-                    let t = if only == src {
-                        0.0
-                    } else {
-                        // Same expression order as `time_cost`'s fold
-                        // (and the same bandwidth/latency values — link
-                        // kind is uniform within the node), so the
-                        // pre-priced term is bit-identical.
-                        let mut t = tokens as f64 * v_comm / bw;
-                        if latency_aware {
-                            t += lat;
-                        }
-                        t
-                    };
-                    device_loads[only.index()] += tokens;
-                    col.entries.push((only, tokens, t));
-                } else {
-                    let entries = &mut col.entries;
-                    let emit = |dst: DeviceId, count: u64| {
-                        let t = if dst == src {
-                            0.0
-                        } else {
-                            let mut t = count as f64 * v_comm / effective_bw(topo, src, dst);
-                            if latency_aware {
-                                t += topo.latency(src, dst);
-                            }
-                            t
-                        };
-                        device_loads[dst.index()] += count;
-                        entries.push((dst, count, t));
-                    };
-                    let (targets, shares, order) = (
-                        &self.scratch.targets,
-                        &mut self.scratch.shares,
-                        &mut self.scratch.order,
-                    );
-                    distribute_evenly_into(src, tokens, targets, shares, order, emit);
-                }
-                col.starts.push(col.entries.len() as u32);
+                col.entries
+                    .extend_from_slice(&old.entries[lo as usize..hi as usize]);
+                continue;
             }
+            self.route_node(j, NodeId::new(node), &mut col);
+            for src in sources {
+                let (now, then) = (old.cell(src), col.cell(src));
+                self.dirty
+                    .cell_changed(&mut self.device_loads, src, now, then);
+            }
+        }
+        self.columns[j] = col;
+        self.pool.push(old);
+    }
+
+    /// Routes the cells of `node`'s sources for expert `j` onto the end
+    /// of `col` — one Alg. 3 cell per source, with the exact arithmetic
+    /// of `lite_route` — pre-pricing each row with `time_cost`'s
+    /// pairwise term.
+    fn route_node(&mut self, j: usize, node: NodeId, col: &mut Column) {
+        let expert = ExpertId::new(j);
+        let params = &self.params;
+        let topo = self.topo;
+        // Alg. 3's target list depends only on `(expert, node)` — every
+        // source in the node shares it — so resolve it once per node
+        // instead of once per source.
+        self.index
+            .fill_targets(topo, expert, node, &mut self.scratch.targets);
+        // The link terms are hoisted per node too: every source on the
+        // node but the target itself sees the same link kind to a given
+        // target (intra-node if the target is on the node, else the
+        // node's inter-node or inter-rack link), so the terms from any
+        // other device on the node are every such source's terms —
+        // bit-identical to pricing each row on its own.
+        let terms = &mut self.terms;
+        terms.clear();
+        for &(dst, _) in &self.scratch.targets {
+            let rep = topo.devices_on(node).find(|&d| d != dst);
+            terms.push(rep.map_or((f64::INFINITY, 0.0), |rep| link_terms(topo, rep, dst)));
+        }
+        // Single-target fast path: the whole cell goes to one
+        // destination — identical output to `distribute_evenly_into`
+        // (the share is exact, the remainder zero). This is the common
+        // case at fleet scale, where layouts cover every node.
+        let single = match self.scratch.targets[..] {
+            [(only, _)] => Some(only),
+            _ => None,
+        };
+        for src in topo.devices_on(node) {
+            let tokens = self.demand.get(src, expert);
+            if tokens == 0 {
+                col.starts.push(col.entries.len() as u32);
+                continue;
+            }
+            assert!(
+                !self.scratch.targets.is_empty(),
+                "layout hosts no replica of {expert}; evaluate covering layouts only"
+            );
+            // The same pairwise term as `time_cost`'s fold: bit-identical.
+            let price = |i: usize, dst: DeviceId, count: u64| {
+                if dst == src {
+                    0.0
+                } else {
+                    params.pair_time(count, terms[i])
+                }
+            };
+            if let Some(only) = single {
+                col.entries.push((only, tokens, price(0, only, tokens)));
+            } else {
+                let entries = &mut col.entries;
+                let emit = |i: usize, dst: DeviceId, count: u64| {
+                    entries.push((dst, count, price(i, dst, count)));
+                };
+                let (targets, shares, order) = (
+                    &self.scratch.targets,
+                    &mut self.scratch.shares,
+                    &mut self.scratch.order,
+                );
+                distribute_evenly_into(src, tokens, targets, shares, order, emit);
+            }
+            col.starts.push(col.entries.len() as u32);
         }
     }
 
     /// Evaluates Eq. 2 for the current state, bit-identical to
     /// `time_cost(topo, &lite_route(topo, demand, &self.layout()),
-    /// params)`: the cached rows are folded in the oracle's exact entry
-    /// order into the per-device send/recv/load aggregates, then
-    /// max-aggregated. Dirty columns are re-routed first.
+    /// params)`. Stale cells are re-routed first; then only the send
+    /// and receive sums of devices whose rows changed are re-folded,
+    /// each in the oracle's exact addend order, and max-aggregated.
     ///
     /// # Panics
     ///
@@ -499,20 +772,19 @@ impl<'a> IncrementalCost<'a> {
     /// [`Self::all_experts_covered`]).
     pub fn cost(&mut self) -> CostBreakdown {
         self.flush();
-        let (send, recv) = (&mut self.send, &mut self.recv);
-        send.fill(0.0);
-        recv.fill(0.0);
-        for (src, send_src) in send.iter_mut().enumerate() {
-            for col in &self.columns {
-                let (lo, hi) = (col.starts[src] as usize, col.starts[src + 1] as usize);
-                for &(dst, _, t) in &col.entries[lo..hi] {
-                    if dst.index() != src {
-                        *send_src += t;
-                        recv[dst.index()] += t;
-                    }
-                }
+        if self.dirty.all || self.refold_exceeds_full() {
+            self.fold_all();
+        } else {
+            for i in 0..self.dirty.send.list.len() {
+                let src = self.dirty.send.list[i];
+                self.send[src] = self.fold_send(src);
+            }
+            for i in 0..self.dirty.recv.list.len() {
+                let dst = self.dirty.recv.list[i];
+                self.recv[dst] = self.fold_recv(dst);
             }
         }
+        self.dirty.clear();
         let straggler = self
             .send
             .iter()
@@ -524,6 +796,106 @@ impl<'a> IncrementalCost<'a> {
         let comp =
             self.params.compute_multiplier() * max_load * self.params.v_comp / self.params.b_comp;
         CostBreakdown { comm, comp }
+    }
+
+    /// Folds every cached row into the send/recv sums in the oracle's
+    /// entry order (sources ascending, experts ascending, rows in
+    /// emission order).
+    fn fold_all(&mut self) {
+        let (send, recv) = (&mut self.send, &mut self.recv);
+        send.fill(0.0);
+        recv.fill(0.0);
+        // Each column's rows are consumed source by source, so one cursor
+        // per column replaces the `starts[src]` lookups. Local rows are
+        // folded too: their pre-priced term is `+0.0`, and adding `+0.0`
+        // to a non-negative sum leaves it bit-identical, exactly as
+        // `time_cost` skipping them does.
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        cursors.resize(self.columns.len(), 0);
+        for (src, send_src) in send.iter_mut().enumerate() {
+            for (col, lo) in self.columns.iter().zip(cursors.iter_mut()) {
+                let hi = col.starts[src + 1] as usize;
+                for &(dst, _, t) in &col.entries[*lo..hi] {
+                    *send_src += t;
+                    recv[dst.index()] += t;
+                }
+                *lo = hi;
+            }
+        }
+    }
+
+    /// Whether re-folding just the marked sums would visit more cells
+    /// than the full fold. A receive sum visits the cells of the experts
+    /// its device hosts, from its own node and those experts' fallback
+    /// nodes, so layouts where many nodes read global lists (and every
+    /// replica of a moved expert is marked) are cheaper to fold whole.
+    fn refold_exceeds_full(&self) -> bool {
+        let e = self.index.experts;
+        let full = self.index.devices * e;
+        let mut work = self.dirty.send.list.len() * e;
+        for &dst in &self.dirty.recv.list {
+            let (mut hosted, mut senders) = (0, 1);
+            for j in 0..e {
+                if self.index.counts[dst * e + j] > 0 {
+                    hosted += 1;
+                    senders += self.index.fallback[j].len();
+                }
+            }
+            work += self.index.devices_per_node * hosted * senders;
+            if work > full {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `src`'s send sum: its rows, experts ascending — the order the
+    /// full fold adds them in.
+    fn fold_send(&self, src: usize) -> f64 {
+        let mut sum = 0.0;
+        for col in &self.columns {
+            for &(_, _, t) in col.cell(src) {
+                sum += t;
+            }
+        }
+        sum
+    }
+
+    /// `dst`'s receive sum, re-folded from the only cells that can hold
+    /// a row to it: those of the experts `dst` hosts, from sources on
+    /// its own node or on a node reading that expert's global replica
+    /// list. They are visited sources ascending, then experts ascending
+    /// — the order the full fold adds their rows in. A cell holds at
+    /// most one row per destination, sorted by destination.
+    fn fold_recv(&mut self, dst: usize) -> f64 {
+        let e = self.index.experts;
+        self.hosted.clear();
+        self.hosted
+            .extend((0..e).filter(|&j| self.index.counts[dst * e + j] > 0));
+        self.senders.clear();
+        self.senders
+            .push(self.index.node_of(DeviceId::new(dst)) as u32);
+        for &j in &self.hosted {
+            self.senders.extend_from_slice(&self.index.fallback[j]);
+        }
+        self.senders.sort_unstable();
+        self.senders.dedup();
+        let dpn = self.index.devices_per_node;
+        let dst = DeviceId::new(dst);
+        let mut sum = 0.0;
+        for &node in &self.senders {
+            let node = node as usize;
+            for src in node * dpn..(node + 1) * dpn {
+                for &j in &self.hosted {
+                    let cell = self.columns[j].cell(src);
+                    if let Ok(pos) = cell.binary_search_by(|r| r.0.cmp(&dst)) {
+                        sum += cell[pos].2;
+                    }
+                }
+            }
+        }
+        sum
     }
 
     /// Materialises the current layout.
@@ -540,8 +912,7 @@ impl<'a> IncrementalCost<'a> {
         let mut out = TokenRouting::new(n, e);
         for src in 0..n {
             for (j, col) in self.columns.iter().enumerate() {
-                let (lo, hi) = (col.starts[src] as usize, col.starts[src + 1] as usize);
-                for &(dst, tokens, _) in &col.entries[lo..hi] {
+                for &(dst, tokens, _) in col.cell(src) {
                     out.push(DeviceId::new(src), ExpertId::new(j), dst, tokens);
                 }
             }

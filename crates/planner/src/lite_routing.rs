@@ -7,26 +7,36 @@
 //! exist, and evenly over all replicas otherwise — minimising inter-node
 //! transfers, the paper's consideration (1).
 //!
-//! Two entry points share one implementation: [`lite_route`] allocates
-//! fresh buffers per call, [`lite_route_with`] reuses a caller-held
-//! [`RouteScratch`] so hot paths (the tuner's candidate loop, the
-//! delta evaluator in [`crate::delta`]) route without per-cell
-//! allocation. Both produce identical output — entry for entry, bit for
-//! bit — because they run the same code.
+//! One traversal (sources ascending, experts ascending, each cell's rows
+//! in target order) produces every row, and the entry points differ only
+//! in what they do with a row. [`lite_route`], [`lite_route_with`] and
+//! [`lite_route_into`] push it into a [`TokenRouting`]; the tuner's
+//! route-and-price pass folds it straight into Eq. 2 without
+//! materialising the routing. A cell's intra-node targets are read per
+//! cell; the global fallback reads per-expert replica lists that the
+//! caller's [`RouteScratch`] builds once per call, on the first cell that
+//! needs them, so a layout that never falls back never builds them.
 
+use crate::cost::{CostAccumulator, CostBreakdown, CostParams};
 use crate::layout::ExpertLayout;
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DeviceId, ExpertId, NodeId, Topology};
+use laer_cluster::{DeviceId, ExpertId, Interconnect, Topology};
 use laer_routing::RoutingMatrix;
 
 /// Reusable buffers for allocation-free routing: the per-cell target
-/// list and the largest-remainder working set. One scratch serves any
-/// shape — buffers grow to the largest cell seen and stay allocated.
+/// list, the largest-remainder working set, the global fallback lists
+/// and the Eq. 2 fold of the route-and-price pass. One scratch serves
+/// any shape — buffers grow to the largest call seen and stay allocated.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     pub(crate) targets: Vec<(DeviceId, u32)>,
     pub(crate) shares: Vec<(usize, u64, f64)>,
     pub(crate) order: Vec<usize>,
+    /// Every expert's replicas in ascending device order, CSR-style:
+    /// expert `j`'s list is `global[global_starts[j]..global_starts[j + 1]]`.
+    global_starts: Vec<usize>,
+    global: Vec<(DeviceId, u32)>,
+    cost: CostAccumulator,
 }
 
 impl RouteScratch {
@@ -82,78 +92,132 @@ pub fn lite_route_into(
     scratch: &mut RouteScratch,
     out: &mut TokenRouting,
 ) {
-    assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
-    assert_eq!(layout.num_devices(), topo.num_devices(), "layout devices");
-    assert_eq!(layout.num_experts(), demand.num_experts(), "expert count");
     out.reset(demand.num_devices(), demand.num_experts());
-    for rank in topo.devices() {
-        route_one_rank(topo, demand, layout, rank, scratch, out);
-    }
+    route_rows(topo, demand, layout, scratch, |src, expert, dst, tokens| {
+        out.push(src, expert, dst, tokens);
+    });
 }
 
-/// Alg. 3 for a single rank.
-fn route_one_rank(
+/// Alg. 3 priced instead of materialised: folds the rows [`lite_route`]
+/// would emit, in its entry order, into Eq. 2 on `net` — bit-identical
+/// to `time_cost(net, &lite_route(topo, demand, layout), params)`.
+/// `topo` decides the routing and `net` (the same topology, or a
+/// degraded view of it) prices it.
+///
+/// # Panics
+///
+/// As [`lite_route`].
+pub(crate) fn route_and_price<I: Interconnect + ?Sized>(
+    topo: &Topology,
+    net: &I,
+    demand: &RoutingMatrix,
+    layout: &ExpertLayout,
+    params: &CostParams,
+    scratch: &mut RouteScratch,
+) -> CostBreakdown {
+    let mut acc = std::mem::take(&mut scratch.cost);
+    acc.reset(topo.num_devices());
+    route_rows(topo, demand, layout, scratch, |src, _, dst, tokens| {
+        acc.add(net, params, src, dst, tokens);
+    });
+    let cost = acc.finish(params);
+    scratch.cost = acc;
+    cost
+}
+
+/// The Alg. 3 traversal behind every entry point: calls `emit(src,
+/// expert, dst, tokens)` for each row, sources ascending, experts
+/// ascending, each cell's rows in target order.
+fn route_rows(
     topo: &Topology,
     demand: &RoutingMatrix,
     layout: &ExpertLayout,
-    rank: DeviceId,
     scratch: &mut RouteScratch,
-    out: &mut TokenRouting,
+    mut emit: impl FnMut(DeviceId, ExpertId, DeviceId, u64),
 ) {
-    let node = topo.node_of(rank);
-    for j in 0..demand.num_experts() {
-        let expert = ExpertId::new(j);
-        let tokens = demand.get(rank, expert);
-        if tokens == 0 {
-            continue;
+    assert_eq!(demand.num_devices(), topo.num_devices(), "device count");
+    assert_eq!(layout.num_devices(), topo.num_devices(), "layout devices");
+    assert_eq!(layout.num_experts(), demand.num_experts(), "expert count");
+    let RouteScratch {
+        targets,
+        shares,
+        order,
+        global_starts,
+        global,
+        ..
+    } = scratch;
+    let mut global_built = false;
+    for src in topo.devices() {
+        let node = topo.node_of(src);
+        for j in 0..demand.num_experts() {
+            let expert = ExpertId::new(j);
+            let tokens = demand.get(src, expert);
+            if tokens == 0 {
+                continue;
+            }
+            // Lines 5-6: the replicas inside the sender's node.
+            targets.clear();
+            for dev in topo.devices_on(node) {
+                let c = layout.replica_count(dev, expert);
+                if c > 0 {
+                    targets.push((dev, c));
+                }
+            }
+            // Lines 8-9: otherwise every replica, globally.
+            let cell: &[(DeviceId, u32)] = if targets.is_empty() {
+                if !global_built {
+                    build_global_lists(layout, global_starts, global);
+                    global_built = true;
+                }
+                &global[global_starts[j]..global_starts[j + 1]]
+            } else {
+                targets
+            };
+            assert!(
+                !cell.is_empty(),
+                "layout hosts no replica of {expert}; validate layouts before routing"
+            );
+            distribute_evenly_into(src, tokens, cell, shares, order, |_, dst, count| {
+                emit(src, expert, dst, count);
+            });
         }
-        fill_targets(topo, layout, expert, node, &mut scratch.targets);
-        assert!(
-            !scratch.targets.is_empty(),
-            "layout hosts no replica of {expert}; validate layouts before routing"
-        );
-        let (targets, shares, order) = (&scratch.targets, &mut scratch.shares, &mut scratch.order);
-        distribute_evenly_into(rank, tokens, targets, shares, order, |dst, count| {
-            out.push(rank, expert, dst, count);
-        });
     }
 }
 
-/// Fills `out` with the Alg. 3 target list for one `(sender-node,
-/// expert)` cell: intra-node replicas first (lines 5-6), all replicas
-/// globally otherwise (lines 8-9). Targets are in ascending device-id
-/// order, matching [`ExpertLayout::replicas_in_node`] /
+/// Fills the per-expert global replica lists: `(device, count)` with
+/// count > 0 in ascending device order — the order of
 /// [`ExpertLayout::replica_devices`].
-pub(crate) fn fill_targets(
-    topo: &Topology,
+fn build_global_lists(
     layout: &ExpertLayout,
-    expert: ExpertId,
-    node: NodeId,
-    out: &mut Vec<(DeviceId, u32)>,
+    starts: &mut Vec<usize>,
+    lists: &mut Vec<(DeviceId, u32)>,
 ) {
-    out.clear();
-    for dev in topo.devices_on(node) {
-        let c = layout.replica_count(dev, expert);
-        if c > 0 {
-            out.push((dev, c));
-        }
-    }
-    if out.is_empty() {
-        for i in 0..layout.num_devices() {
-            let c = layout.replica_count(DeviceId::new(i), expert);
+    let (n, e) = (layout.num_devices(), layout.num_experts());
+    let counts = layout.replica_counts();
+    starts.clear();
+    lists.clear();
+    starts.push(0);
+    for j in 0..e {
+        for d in 0..n {
+            let c = counts[d * e + j];
             if c > 0 {
-                out.push((DeviceId::new(i), c));
+                lists.push((DeviceId::new(d), c));
             }
         }
+        starts.push(lists.len());
     }
 }
+
+/// Target-list length above which [`distribute_evenly_into`] selects
+/// the targets that get a leftover token instead of sorting them.
+const SELECT_MIN_TARGETS: usize = 32;
 
 /// Splits `tokens` across `targets` proportionally to their replica
 /// counts ("evenly distributed among all replicas"), with deterministic
 /// largest-remainder rounding. Ties prefer the sender itself, then lower
 /// device ids, keeping traffic local when possible.
 ///
-/// Emits `(destination, tokens)` pairs in `targets` order, skipping
+/// Emits `(target index, destination, tokens)` in `targets` order, skipping
 /// zero-token shares — the exact entry order and values of the original
 /// allocating implementation, which the delta evaluator's bit-exactness
 /// contract depends on.
@@ -163,7 +227,7 @@ pub(crate) fn distribute_evenly_into(
     targets: &[(DeviceId, u32)],
     shares: &mut Vec<(usize, u64, f64)>,
     order: &mut Vec<usize>,
-    mut emit: impl FnMut(DeviceId, u64),
+    mut emit: impl FnMut(usize, DeviceId, u64),
 ) {
     let total_replicas: u64 = targets.iter().map(|&(_, c)| c as u64).sum();
     let mut assigned = 0u64;
@@ -174,29 +238,39 @@ pub(crate) fn distribute_evenly_into(
         assigned += floor;
         shares.push((idx, floor, exact - floor as f64));
     }
-    order.clear();
-    order.extend(0..shares.len());
-    order.sort_by(|&a, &b| {
-        let (ia, _, ra) = shares[a];
-        let (ib, _, rb) = shares[b];
-        rb.total_cmp(&ra).then_with(|| {
-            // Prefer the sender itself, then lower device ids.
-            let la = targets[ia].0 == src;
-            let lb = targets[ib].0 == src;
-            lb.cmp(&la).then(targets[ia].0.cmp(&targets[ib].0))
-        })
-    });
-    let mut left = tokens - assigned;
-    let mut cursor = 0;
-    while left > 0 {
-        let slot = order[cursor % order.len()];
-        shares[slot].1 += 1;
-        left -= 1;
-        cursor += 1;
+    // Each floor drops less than one token (rounding `exact` can only
+    // raise a floor), so fewer tokens than targets are left over: the
+    // first `left` targets in remainder order get one each. Targets are
+    // distinct devices, so the order has no ties and any method that
+    // puts those `left` first gives the same set: long lists (global
+    // fallbacks at fleet scale) select them, short ones sort, which is
+    // faster there.
+    let left = (tokens - assigned) as usize;
+    if left > 0 {
+        let by_remainder = |&a: &usize, &b: &usize| {
+            let (ia, _, ra) = shares[a];
+            let (ib, _, rb) = shares[b];
+            rb.total_cmp(&ra).then_with(|| {
+                // Prefer the sender itself, then lower device ids.
+                let la = targets[ia].0 == src;
+                let lb = targets[ib].0 == src;
+                lb.cmp(&la).then(targets[ia].0.cmp(&targets[ib].0))
+            })
+        };
+        order.clear();
+        order.extend(0..shares.len());
+        if order.len() > SELECT_MIN_TARGETS {
+            order.select_nth_unstable_by(left - 1, by_remainder);
+        } else {
+            order.sort_by(by_remainder);
+        }
+        for &slot in &order[..left] {
+            shares[slot].1 += 1;
+        }
     }
     for &(idx, count, _) in shares.iter() {
         if count > 0 {
-            emit(targets[idx].0, count);
+            emit(idx, targets[idx].0, count);
         }
     }
 }
@@ -250,24 +324,22 @@ mod tests {
 
     #[test]
     fn falls_back_to_global_replicas() {
-        let (topo, l) = cross_node_setup();
-        // Replicas of expert 0 are on devices 0 and 2; a sender on
-        // node 1 (device 3) has an intra-node replica at dev 2. Make a
-        // layout where expert 1 has replicas only on node 0.
-        let mut l2 = ExpertLayout::empty(4, 2, 1).unwrap();
-        l2.add_replica(DeviceId::new(0), ExpertId::new(1));
-        l2.add_replica(DeviceId::new(1), ExpertId::new(1));
-        l2.add_replica(DeviceId::new(2), ExpertId::new(0));
-        l2.add_replica(DeviceId::new(3), ExpertId::new(0));
+        let topo = Topology::new(2, 2).unwrap();
+        // Expert 1 lives only on node 0 (devices 0 and 1), so a sender on
+        // node 1 must spread its tokens over the global replica list.
+        let mut l = ExpertLayout::empty(4, 2, 1).unwrap();
+        l.add_replica(DeviceId::new(0), ExpertId::new(1));
+        l.add_replica(DeviceId::new(1), ExpertId::new(1));
+        l.add_replica(DeviceId::new(2), ExpertId::new(0));
+        l.add_replica(DeviceId::new(3), ExpertId::new(0));
         let mut r = RoutingMatrix::zeros(4, 2).unwrap();
         r.set(DeviceId::new(3), ExpertId::new(1), 10); // node 1 -> node 0 only
-        let s = lite_route(&topo, &r, &l2);
-        assert!(s.validate(&r, &l2).is_ok());
+        let s = lite_route(&topo, &r, &l);
+        assert!(s.validate(&r, &l).is_ok());
         let loads = s.device_compute_loads();
         assert_eq!(loads[0] + loads[1], 10);
         assert_eq!(loads[0], 5);
         assert_eq!(loads[1], 5);
-        let _ = l; // silence unused in this test
     }
 
     #[test]
@@ -305,23 +377,18 @@ mod tests {
     #[test]
     fn remainder_prefers_sender() {
         let topo = Topology::single_node(2).unwrap();
-        let mut l = ExpertLayout::empty(2, 2, 1).unwrap();
+        let mut l = ExpertLayout::empty(2, 2, 2).unwrap();
         l.add_replica(DeviceId::new(0), ExpertId::new(0));
+        l.add_replica(DeviceId::new(0), ExpertId::new(1));
         l.add_replica(DeviceId::new(1), ExpertId::new(0));
+        l.add_replica(DeviceId::new(1), ExpertId::new(1));
         let mut r = RoutingMatrix::zeros(2, 2).unwrap();
         r.set(DeviceId::new(1), ExpertId::new(0), 3);
-        // Wait: layout has an orphan expert 1; fix by adding replicas.
-        let mut l_ok = ExpertLayout::empty(2, 2, 2).unwrap();
-        l_ok.add_replica(DeviceId::new(0), ExpertId::new(0));
-        l_ok.add_replica(DeviceId::new(0), ExpertId::new(1));
-        l_ok.add_replica(DeviceId::new(1), ExpertId::new(0));
-        l_ok.add_replica(DeviceId::new(1), ExpertId::new(1));
-        let s = lite_route(&topo, &r, &l_ok);
+        let s = lite_route(&topo, &r, &l);
         let loads = s.device_compute_loads();
         // 3 tokens over 2 replicas: the odd token stays on the sender.
         assert_eq!(loads[1], 2);
         assert_eq!(loads[0], 1);
-        let _ = l;
     }
 
     /// The scratch-reusing entry points reproduce the allocating path
@@ -342,6 +409,59 @@ mod tests {
             lite_route_into(&topo, &r, &l, &mut scratch, &mut reused);
             assert_eq!(fresh.entries(), with.entries());
             assert_eq!(fresh.entries(), reused.entries());
+        }
+    }
+
+    /// The route-and-price pass folds exactly the rows `lite_route`
+    /// emits: its Eq. 2 cost equals `time_cost` of the materialised
+    /// routing bit for bit — on a racked topology with a degraded view,
+    /// with latency on and off, and with a scratch reused across layouts
+    /// that do and do not need the global fallback.
+    #[test]
+    fn route_and_price_matches_time_cost() {
+        use crate::cost::time_cost;
+        use laer_cluster::DegradedView;
+        let topo = Topology::with_racks(2, 2, 4, 5e9).unwrap();
+        let mut view = DegradedView::new(topo.clone());
+        view.degrade_link(DeviceId::new(0), DeviceId::new(9), 0.5);
+        view.degrade_link(DeviceId::new(4), DeviceId::new(12), 0.3);
+        let mut gen = laer_routing::RoutingGenerator::new(
+            laer_routing::RoutingGeneratorConfig::new(16, 8, 4096).with_seed(5),
+        );
+        // Classic EP covers every node; the skewed layout leaves experts
+        // 6 and 7 on node 0 only, forcing the fallback elsewhere.
+        let classic = ExpertLayout::classic_ep(16, 8, 2).unwrap();
+        let mut counts = classic.replica_counts().to_vec();
+        for d in 4..16 {
+            for j in 6..8 {
+                if counts[d * 8 + j] > 0 {
+                    counts[d * 8 + j] -= 1;
+                    counts[d * 8 + (j - 6)] += 1;
+                }
+            }
+        }
+        let skewed = ExpertLayout::from_counts(16, 8, 2, counts).unwrap();
+        assert!(skewed.validate().is_ok());
+        let mut scratch = RouteScratch::new();
+        for latency_aware in [false, true] {
+            let params = CostParams::mixtral_8x7b().with_latency_aware(latency_aware);
+            for layout in [&classic, &skewed, &classic] {
+                let r = gen.next_iteration();
+                let routing = lite_route(&topo, &r, layout);
+                for (want, got) in [
+                    (
+                        time_cost(&topo, &routing, &params),
+                        route_and_price(&topo, &topo, &r, layout, &params, &mut scratch),
+                    ),
+                    (
+                        time_cost(&view, &routing, &params),
+                        route_and_price(&topo, &view, &r, layout, &params, &mut scratch),
+                    ),
+                ] {
+                    assert_eq!(got.comm.to_bits(), want.comm.to_bits());
+                    assert_eq!(got.comp.to_bits(), want.comp.to_bits());
+                }
+            }
         }
     }
 }

@@ -7,6 +7,8 @@
 //! across threads, and independent layers can be planned concurrently —
 //! with results identical to the serial [`crate::Planner::plan`].
 
+use crate::cost::CostBreakdown;
+use crate::layout::ExpertLayout;
 use crate::tuner::{Plan, Planner};
 use laer_routing::RoutingMatrix;
 use std::sync::Mutex;
@@ -46,8 +48,13 @@ pub fn plan_parallel_indexed(
     // result identical while saving whole evaluations.
     let schemes = planner.unique_schemes(planner.candidate_schemes(demand));
     let loads = demand.expert_loads();
-    // (candidate index, plan) — the lowest total wins, ties to low index.
-    let best: Mutex<Option<(usize, Plan)>> = Mutex::new(None);
+    let topo = planner.topology();
+    let all: Vec<laer_cluster::DeviceId> = topo.devices().collect();
+    let chunks = planner.config().num_chunks;
+    // (candidate index, layout, predicted cost) — the lowest total wins,
+    // ties to the low index. Candidates are priced without routing; only
+    // the winner is routed, after the workers join.
+    let best: Mutex<Option<(usize, ExpertLayout, CostBreakdown)>> = Mutex::new(None);
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(schemes.len()).max(1) {
@@ -60,31 +67,35 @@ pub fn plan_parallel_indexed(
                     if idx >= schemes.len() {
                         break;
                     }
-                    let plan = planner.evaluate_scheme_inner(
+                    let (layout, base) = planner.price_scheme(
                         &schemes[idx],
                         &loads,
                         demand,
+                        topo,
+                        &all,
                         &mut scratch,
-                        None,
                     );
+                    let predicted = base.pipelined(chunks);
                     let mut guard = lock_recover(&best);
                     let replace = match &*guard {
                         None => true,
-                        Some((best_idx, best_plan)) => {
-                            let t = plan.predicted.total();
-                            let bt = best_plan.predicted.total();
+                        Some((best_idx, _, best_cost)) => {
+                            let t = predicted.total();
+                            let bt = best_cost.total();
                             t < bt || (t == bt && idx < *best_idx)
                         }
                     };
                     if replace {
-                        *guard = Some((idx, plan));
+                        *guard = Some((idx, layout, predicted));
                     }
                 }
             });
         }
     });
     match best.into_inner() {
-        Ok(Some(found)) => found,
+        Ok(Some((idx, layout, predicted))) => {
+            (idx, planner.route_winner(demand, layout, predicted))
+        }
         // `schemes` is non-empty (the tuner always emits at least the
         // proportional scheme), so a missing result can only mean a
         // worker panicked — which `std::thread::scope` already turned

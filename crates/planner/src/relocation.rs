@@ -67,60 +67,64 @@ pub fn expert_relocation_on(
 
     // Lines 3-5: one list entry per replica, carrying the average load,
     // sorted descending (ties toward lower expert index for determinism).
-    let mut list: Vec<(usize, f64)> = Vec::with_capacity(n * capacity);
-    for j in 0..e {
-        let avg = expert_loads[j] as f64 / expert_rep[j] as f64;
-        for _ in 0..expert_rep[j] {
-            list.push((j, avg));
-        }
-    }
-    list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    // All replicas of an expert share its sort key, so the list is the
+    // experts in that order, each repeated `expert_rep[j]` times.
+    let avg = |j: usize| expert_loads[j] as f64 / expert_rep[j] as f64;
+    let mut experts: Vec<usize> = (0..e).collect();
+    experts.sort_by(|&a, &b| avg(b).total_cmp(&avg(a)).then(a.cmp(&b)));
 
     let mut layout = ExpertLayout::empty(n, e, capacity)
         .unwrap_or_else(|_| unreachable!("caller-provided shape is consistent"));
     let mut expert_count = vec![0usize; n]; // slots used per device
     let mut device_loads = vec![0.0f64; n];
+    // The least-loaded eligible device of a node (ties to the lower id),
+    // if it has one: Lines 10-13's pick within that node.
+    let dpn = topo.devices_per_node();
+    let least_loaded = |node: usize, expert_count: &[usize], device_loads: &[f64]| {
+        (node * dpn..(node + 1) * dpn)
+            .filter(|&d| is_active[d] && expert_count[d] < capacity)
+            .min_by(|&a, &b| device_loads[a].total_cmp(&device_loads[b]).then(a.cmp(&b)))
+    };
+    let nodes = topo.num_nodes();
+    let mut node_best: Vec<Option<usize>> = (0..nodes)
+        .map(|m| least_loaded(m, &expert_count, &device_loads))
+        .collect();
+    // The current expert's replicas per node (Line 7's `node_cnt`).
+    let mut node_cnt = vec![0usize; nodes];
 
-    for (expert_idx, load) in list {
-        let expert = ExpertId::new(expert_idx);
-        // Lines 7-9: nodes with the fewest replicas of this expert that
-        // still have a device with free capacity.
-        let node_cnt = layout.node_replica_counts(topo, expert);
-        let mut candidate_nodes: Vec<usize> = (0..topo.num_nodes()).collect();
-        candidate_nodes.sort_by_key(|&nid| node_cnt[nid]);
-        let mut placed = false;
-        let mut group_start = 0;
-        while group_start < candidate_nodes.len() {
-            let level = node_cnt[candidate_nodes[group_start]];
-            let group: Vec<usize> = candidate_nodes[group_start..]
-                .iter()
-                .copied()
-                .take_while(|&nid| node_cnt[nid] == level)
-                .collect();
-            // Lines 10-13: least-loaded device with spare capacity inside
-            // the chosen node group.
-            let best = group
-                .iter()
-                .flat_map(|&nid| topo.devices_on(laer_cluster::NodeId::new(nid)))
-                .filter(|d| is_active[d.index()] && expert_count[d.index()] < capacity)
-                .min_by(|a, b| {
-                    device_loads[a.index()]
-                        .total_cmp(&device_loads[b.index()])
-                        .then(a.index().cmp(&b.index()))
+    for &j in &experts {
+        let load = avg(j);
+        let expert = ExpertId::new(j);
+        node_cnt.fill(0);
+        for _ in 0..expert_rep[j] {
+            // Lines 7-13: among nodes with a free eligible device, the
+            // fewest replicas of this expert first, then the least-loaded
+            // device, then the lowest device id — the first node group
+            // (by replica count) that can take the replica, and its
+            // least-loaded device.
+            let mut pick: Option<(usize, usize)> = None;
+            for (m, best) in node_best.iter().enumerate() {
+                let Some(d) = *best else { continue };
+                let better = pick.is_none_or(|(pm, pd)| {
+                    node_cnt[m]
+                        .cmp(&node_cnt[pm])
+                        .then(device_loads[d].total_cmp(&device_loads[pd]))
+                        .then(d.cmp(&pd))
+                        .is_lt()
                 });
-            if let Some(device) = best {
-                layout.add_replica(device, expert);
-                device_loads[device.index()] += load;
-                expert_count[device.index()] += 1;
-                placed = true;
-                break;
+                if better {
+                    pick = Some((m, d));
+                }
             }
-            group_start += group.len();
+            let Some((m, d)) = pick else {
+                panic!("replica total equals slot total, placement must succeed");
+            };
+            layout.add_replica(DeviceId::new(d), expert);
+            device_loads[d] += load;
+            expert_count[d] += 1;
+            node_cnt[m] += 1;
+            node_best[m] = least_loaded(m, &expert_count, &device_loads);
         }
-        assert!(
-            placed,
-            "replica total equals slot total, placement must succeed"
-        );
     }
     debug_assert!(layout.validate_on(active).is_ok());
     layout

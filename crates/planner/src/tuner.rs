@@ -3,18 +3,18 @@
 //! Builds a candidate set `ε` of replica schemes (priority-queue
 //! proportional allocation, even allocation, and random perturbations of
 //! members already in the set), solves each with the greedy relocation
-//! (Alg. 1), routes under lite routing (Alg. 3), scores with the time
-//! model (Eq. 2) and keeps the best.
+//! (Alg. 1), scores it with the time model (Eq. 2) under lite routing
+//! (Alg. 3) and keeps the best. Candidates are priced by folding their
+//! routed rows straight into Eq. 2; only the winner's routing is
+//! materialised.
 
-use crate::cost::{time_cost, CostBreakdown, CostParams};
+use crate::cost::{CostBreakdown, CostParams};
 use crate::layout::ExpertLayout;
-#[cfg(test)]
-use crate::lite_routing::lite_route;
-use crate::lite_routing::{lite_route_with, RouteScratch};
-use crate::relocation::{expert_relocation, expert_relocation_on};
+use crate::lite_routing::{lite_route, route_and_price, RouteScratch};
+use crate::relocation::expert_relocation_on;
 use crate::replica::{even_replicas, replica_allocation};
 use crate::token_routing::TokenRouting;
-use laer_cluster::{DegradedView, Topology};
+use laer_cluster::{DegradedView, DeviceId, Interconnect, Topology};
 use laer_routing::RoutingMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,8 +23,9 @@ use std::collections::HashSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-// Test-only counter of `Planner::evaluate_scheme` calls, used to prove
-// that candidate deduplication actually skips redundant evaluations.
+// Test-only counter of candidates priced by `Planner::price_scheme`,
+// used to prove that candidate deduplication actually skips redundant
+// evaluations.
 #[cfg(test)]
 thread_local! {
     static EVAL_COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -305,28 +306,22 @@ impl Planner {
     /// Panics if `demand`'s shapes disagree with the topology or the
     /// capacity cannot host every expert.
     pub fn plan(&self, demand: &RoutingMatrix) -> Plan {
-        let loads = demand.expert_loads();
-        let mut scratch = RouteScratch::new();
-        let mut best: Option<Plan> = None;
-        for replicas in self.unique_schemes(self.candidate_schemes(demand)) {
-            let candidate =
-                self.evaluate_scheme_inner(&replicas, &loads, demand, &mut scratch, None);
-            let better = match &best {
-                None => true,
-                Some(b) => candidate.predicted.total() < b.predicted.total(),
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        match best {
-            Some(plan) => plan,
-            // Degenerate `epsilon = 0` configuration: solve the base
-            // proportional scheme so `plan` stays total.
-            None => {
-                let rep = replica_allocation(&loads, self.topo.num_devices(), self.cfg.capacity);
-                self.evaluate_scheme_inner(&rep, &loads, demand, &mut scratch, None)
-            }
+        let schemes = self.schemes_or_base(
+            self.candidate_schemes(demand),
+            demand,
+            self.topo.num_devices(),
+        );
+        let all: Vec<DeviceId> = self.topo.devices().collect();
+        match self.best_candidate(
+            &schemes,
+            demand,
+            &self.topo,
+            &all,
+            &[self.cfg.num_chunks],
+            None,
+        ) {
+            Some((_, plan)) => plan,
+            None => unreachable!("the scheme list is non-empty"),
         }
     }
 
@@ -355,24 +350,18 @@ impl Planner {
     /// capacity cannot host every expert.
     pub fn plan_within(&self, demand: &RoutingMatrix, budget: Duration) -> Result<Plan, PlanError> {
         let start = Instant::now();
-        let loads = demand.expert_loads();
-        let mut scratch = RouteScratch::new();
-        let mut best: Option<Plan> = None;
-        for replicas in self.unique_schemes(self.candidate_schemes(demand)) {
-            if start.elapsed() >= budget {
-                break;
-            }
-            let candidate =
-                self.evaluate_scheme_inner(&replicas, &loads, demand, &mut scratch, None);
-            let better = match &best {
-                None => true,
-                Some(b) => candidate.predicted.total() < b.predicted.total(),
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best.ok_or(PlanError::DeadlineExceeded { budget })
+        let schemes = self.unique_schemes(self.candidate_schemes(demand));
+        let all: Vec<DeviceId> = self.topo.devices().collect();
+        self.best_candidate(
+            &schemes,
+            demand,
+            &self.topo,
+            &all,
+            &[self.cfg.num_chunks],
+            Some((start, budget)),
+        )
+        .map(|(_, plan)| plan)
+        .ok_or(PlanError::DeadlineExceeded { budget })
     }
 
     /// Alg. 2 over the surviving devices of a degraded cluster: replica
@@ -413,73 +402,153 @@ impl Planner {
                 experts,
             });
         }
-        let loads = demand.expert_loads();
-        let mut best: Option<Plan> = None;
-        let mut schemes = self.candidate_schemes_for(survivors.len(), demand);
-        if schemes.is_empty() {
-            schemes.push(replica_allocation(
-                &loads,
-                survivors.len(),
-                self.cfg.capacity,
-            ));
-        }
-        let mut scratch = RouteScratch::new();
-        for replicas in self.unique_schemes(schemes) {
-            let layout =
-                expert_relocation_on(&replicas, &loads, &self.topo, self.cfg.capacity, &survivors);
-            let routing = lite_route_with(&self.topo, demand, &layout, &mut scratch);
-            let predicted = time_cost(view, &routing, &self.cost).pipelined(self.cfg.num_chunks);
-            let candidate = Plan {
-                layout,
-                routing,
-                predicted,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => candidate.predicted.total() < b.predicted.total(),
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best.ok_or(PlanError::NoSurvivors)
+        let schemes = self.schemes_or_base(
+            self.candidate_schemes_for(survivors.len(), demand),
+            demand,
+            survivors.len(),
+        );
+        self.best_candidate(
+            &schemes,
+            demand,
+            view,
+            &survivors,
+            &[self.cfg.num_chunks],
+            None,
+        )
+        .map(|(_, plan)| plan)
+        .ok_or(PlanError::NoSurvivors)
     }
 
     /// Evaluates one replica scheme: relocation → lite routing → cost.
+    /// Equal to [`Self::price_candidate`] followed by
+    /// [`Self::route_winner`].
     pub fn evaluate_scheme(
         &self,
         replicas: &[usize],
         expert_loads: &[u64],
         demand: &RoutingMatrix,
     ) -> Plan {
-        self.evaluate_scheme_inner(
-            replicas,
-            expert_loads,
-            demand,
-            &mut RouteScratch::new(),
-            None,
-        )
+        let (layout, predicted) = self.price_candidate(replicas, expert_loads, demand);
+        self.route_winner(demand, layout, predicted)
     }
 
-    /// The scheme-evaluation hot path: caller-held routing scratch (no
-    /// per-candidate allocation) and an optional chunk-count override
-    /// (`None` uses the configured `num_chunks`; `sweep_num_chunks`
-    /// passes `Some(1)` to price once unpipelined and re-price per
-    /// chunk count).
-    pub(crate) fn evaluate_scheme_inner(
+    /// Prices one replica scheme without routing it: Alg. 1 over every
+    /// device, then Eq. 2 pipelined for the configured chunk count.
+    /// External candidate loops (the pooled `ext-scale` cells) price
+    /// with this and hand only their winner to [`Self::route_winner`].
+    pub fn price_candidate(
         &self,
         replicas: &[usize],
         expert_loads: &[u64],
         demand: &RoutingMatrix,
+    ) -> (ExpertLayout, CostBreakdown) {
+        let all: Vec<DeviceId> = self.topo.devices().collect();
+        let (layout, base) = self.price_scheme(
+            replicas,
+            expert_loads,
+            demand,
+            &self.topo,
+            &all,
+            &mut RouteScratch::new(),
+        );
+        (layout, base.pipelined(self.cfg.num_chunks))
+    }
+
+    /// Deduplicated `schemes`, or the base proportional scheme for `n`
+    /// devices when the set is empty (the degenerate `epsilon = 0`
+    /// configuration), so planning stays total.
+    fn schemes_or_base(
+        &self,
+        schemes: Vec<Vec<usize>>,
+        demand: &RoutingMatrix,
+        n: usize,
+    ) -> Vec<Vec<usize>> {
+        if schemes.is_empty() {
+            vec![replica_allocation(
+                &demand.expert_loads(),
+                n,
+                self.cfg.capacity,
+            )]
+        } else {
+            self.unique_schemes(schemes)
+        }
+    }
+
+    /// One candidate without its routing: Alg. 1 places `replicas` on
+    /// `active`, and the route-and-price pass scores the layout on `net`
+    /// (unpipelined Eq. 2) without materialising the routing.
+    pub(crate) fn price_scheme<I: Interconnect + ?Sized>(
+        &self,
+        replicas: &[usize],
+        expert_loads: &[u64],
+        demand: &RoutingMatrix,
+        net: &I,
+        active: &[DeviceId],
         scratch: &mut RouteScratch,
-        num_chunks: Option<usize>,
-    ) -> Plan {
+    ) -> (ExpertLayout, CostBreakdown) {
         #[cfg(test)]
         EVAL_COUNT.with(|c| c.set(c.get() + 1));
-        let chunks = num_chunks.unwrap_or(self.cfg.num_chunks);
-        let layout = expert_relocation(replicas, expert_loads, &self.topo, self.cfg.capacity);
-        let routing = lite_route_with(&self.topo, demand, &layout, scratch);
-        let predicted = time_cost(&self.topo, &routing, &self.cost).pipelined(chunks);
+        let layout = expert_relocation_on(
+            replicas,
+            expert_loads,
+            &self.topo,
+            self.cfg.capacity,
+            active,
+        );
+        let cost = route_and_price(&self.topo, net, demand, &layout, &self.cost, scratch);
+        (layout, cost)
+    }
+
+    /// The candidate loop behind [`Self::plan`], [`Self::plan_within`],
+    /// [`Self::plan_degraded`] and [`Self::sweep_num_chunks`]: prices
+    /// every scheme once (stopping early if `deadline` passes), takes
+    /// the strict-`<` argmin of the pipelined total over `(chunk count,
+    /// candidate)` — chunk counts in the outer order, so of equal totals
+    /// the first chunk count, then the first candidate, wins — and
+    /// routes only the winner. Returns the winning chunk count and plan,
+    /// or `None` when no candidate was priced.
+    fn best_candidate<I: Interconnect + ?Sized>(
+        &self,
+        schemes: &[Vec<usize>],
+        demand: &RoutingMatrix,
+        net: &I,
+        active: &[DeviceId],
+        chunk_counts: &[usize],
+        deadline: Option<(Instant, Duration)>,
+    ) -> Option<(usize, Plan)> {
+        let loads = demand.expert_loads();
+        let mut scratch = RouteScratch::new();
+        let mut priced: Vec<(ExpertLayout, CostBreakdown)> = Vec::with_capacity(schemes.len());
+        for replicas in schemes {
+            if deadline.is_some_and(|(start, budget)| start.elapsed() >= budget) {
+                break;
+            }
+            priced.push(self.price_scheme(replicas, &loads, demand, net, active, &mut scratch));
+        }
+        let mut best: Option<(usize, usize, CostBreakdown)> = None;
+        for &raw in chunk_counts {
+            let chunks = raw.max(1);
+            for (i, (_, base)) in priced.iter().enumerate() {
+                let cost = base.pipelined(chunks);
+                if best.is_none_or(|(_, _, b)| cost.total() < b.total()) {
+                    best = Some((chunks, i, cost));
+                }
+            }
+        }
+        let (chunks, i, predicted) = best?;
+        let layout = priced.swap_remove(i).0;
+        Some((chunks, self.route_winner(demand, layout, predicted)))
+    }
+
+    /// The chosen candidate as a [`Plan`]: its routing is materialised
+    /// only now. `predicted` is stored as is.
+    pub fn route_winner(
+        &self,
+        demand: &RoutingMatrix,
+        layout: ExpertLayout,
+        predicted: CostBreakdown,
+    ) -> Plan {
+        let routing = lite_route(&self.topo, demand, &layout);
         Plan {
             layout,
             routing,
@@ -508,7 +577,7 @@ impl Planner {
     /// never picks a higher chunk count that the model prices
     /// identically).
     ///
-    /// Each candidate scheme is solved and routed exactly **once** at
+    /// Each candidate scheme is solved and priced exactly **once** at
     /// whole-iteration pricing; chunk counts only re-price the resulting
     /// breakdown via [`CostBreakdown::pipelined`] (chunking changes
     /// neither relocation nor routing). This selects the identical
@@ -523,64 +592,15 @@ impl Planner {
     /// with the topology / capacity (as [`Self::plan`]).
     pub fn sweep_num_chunks(&self, demand: &RoutingMatrix, candidates: &[usize]) -> (usize, Plan) {
         assert!(!candidates.is_empty(), "need at least one chunk count");
-        let loads = demand.expert_loads();
-        let mut schemes = self.unique_schemes(self.candidate_schemes(demand));
-        if schemes.is_empty() {
-            // Degenerate `epsilon = 0`: `plan` falls back to the base
-            // proportional scheme; mirror it so the sweep stays total.
-            schemes.push(replica_allocation(
-                &loads,
-                self.topo.num_devices(),
-                self.cfg.capacity,
-            ));
-        }
-        let mut scratch = RouteScratch::new();
-        let base: Vec<Plan> = schemes
-            .iter()
-            .map(|r| self.evaluate_scheme_inner(r, &loads, demand, &mut scratch, Some(1)))
-            .collect();
-        // (chunk count, scheme index, pipelined breakdown) of the winner.
-        let mut best: Option<(usize, usize, CostBreakdown)> = None;
-        for &raw in candidates {
-            let chunks = raw.max(1);
-            // Inner selection mirrors `plan`: first scheme with a
-            // strictly lower pipelined total wins.
-            let mut inner: Option<(usize, CostBreakdown)> = None;
-            for (i, p) in base.iter().enumerate() {
-                let priced = p.predicted.pipelined(chunks);
-                let better = match &inner {
-                    None => true,
-                    Some((_, b)) => priced.total() < b.total(),
-                };
-                if better {
-                    inner = Some((i, priced));
-                }
-            }
-            let (i, priced) = match inner {
-                Some(found) => found,
-                None => unreachable!("schemes checked non-empty"),
-            };
-            let better = match &best {
-                None => true,
-                Some((_, _, b)) => priced.total() < b.total(),
-            };
-            if better {
-                best = Some((chunks, i, priced));
-            }
-        }
-        match best {
-            Some((chunks, i, priced)) => {
-                let chosen = &base[i];
-                (
-                    chunks,
-                    Plan {
-                        layout: chosen.layout.clone(),
-                        routing: chosen.routing.clone(),
-                        predicted: priced,
-                    },
-                )
-            }
-            None => unreachable!("candidates checked non-empty"),
+        let schemes = self.schemes_or_base(
+            self.candidate_schemes(demand),
+            demand,
+            self.topo.num_devices(),
+        );
+        let all: Vec<DeviceId> = self.topo.devices().collect();
+        match self.best_candidate(&schemes, demand, &self.topo, &all, candidates, None) {
+            Some(found) => found,
+            None => unreachable!("schemes and chunk counts are non-empty"),
         }
     }
 }
@@ -609,6 +629,7 @@ fn perturb(mut replicas: Vec<usize>, rng: &mut StdRng) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::time_cost;
     use laer_routing::{RoutingGenerator, RoutingGeneratorConfig};
 
     fn planner(scheme: ReplicaScheme) -> Planner {
