@@ -84,28 +84,26 @@ fn bench_fleet_plan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Measures what deduplicating the candidate schemes saves: under the
-/// `EvenOnly` scheme with a wide epsilon the candidate list collapses
-/// to a handful of distinct schemes, so the dedup-on planner evaluates
-/// far fewer layouts for an identical plan.
+/// The planner on colliding candidates: under the `EvenOnly` scheme
+/// with a wide epsilon the candidate list collapses to a handful of
+/// distinct schemes, each evaluated once.
 fn bench_dedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner_dedup");
     let topo = Topology::single_node(4).expect("cluster");
     let demand = RoutingGenerator::new(RoutingGeneratorConfig::new(4, 8, 16 * 1024).with_seed(1))
         .next_iteration();
-    for (label, dedup) in [("dedup_on", true), ("dedup_off", false)] {
-        let planner = Planner::new(
-            PlannerConfig::new(2)
-                .with_scheme(laer_planner::ReplicaScheme::EvenOnly)
-                .with_epsilon(4)
-                .with_dedup(dedup),
-            CostParams::mixtral_8x7b(),
-            topo.clone(),
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(label), &demand, |b, demand| {
-            b.iter(|| planner.plan(demand))
-        });
-    }
+    let planner = Planner::new(
+        PlannerConfig::new(2)
+            .with_scheme(laer_planner::ReplicaScheme::EvenOnly)
+            .with_epsilon(4),
+        CostParams::mixtral_8x7b(),
+        topo,
+    );
+    group.bench_with_input(
+        BenchmarkId::from_parameter("dedup_on"),
+        &demand,
+        |b, demand| b.iter(|| planner.plan(demand)),
+    );
     group.finish();
 }
 

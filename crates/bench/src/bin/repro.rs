@@ -3,12 +3,12 @@
 //! ```text
 //! repro <target> [--quick|--full] [--jobs N] [--iters N]
 //!               [--update-baseline] [--baseline PATH] [--tolerance F]
-//!
-//! targets: fig1a fig1b fig1 fig2 tab2 eq1 fig8 fig9 fig10a fig10b
-//!          fig11 fig12 tab3 tab4 ext-refine ext-staleness ext-rack
-//!          ext-overlap ext-pipeline ext-replay ext-faults ext-serve
-//!          ext-chaos ext-obs ext-diagnose ext-scale all harness-bench
 //! ```
+//!
+//! `<target>` is a row of `laer_bench::targets::TARGETS` (by name or
+//! alias, e.g. `fig1a` and `fig1b` both run `fig1`), `all` (every row,
+//! in table order, each under a banner naming it), `ext-scale` or
+//! `harness-bench`. `repro help` lists them.
 //!
 //! `--jobs N` fans the target's independent experiment cells across `N`
 //! worker threads (default: the machine's available parallelism).
@@ -19,45 +19,18 @@
 //! `--iters N` only affects `ext-serve`, `ext-chaos` and
 //! `ext-diagnose`, where it overrides the number of requests served
 //! per operating point (smoke runs in CI use a small value). The baseline/tolerance flags only
-//! affect `ext-obs`, whose perf-regression gate exits non-zero on
-//! failure.
+//! affect `ext-obs` and `ext-scale`, whose perf-regression gates exit
+//! non-zero on failure.
+//!
+//! `ext-scale` is not part of `all`: it defaults to the full N64→N4096
+//! sweep, and `--quick` restricts it to the CI smoke sizes.
 //!
 //! `harness-bench` times `repro all --quick` at `--jobs 1` vs the
 //! default job count and writes the informational `BENCH_harness.json`.
 
-use laer_bench::pool::Batch;
-use laer_bench::{
-    eq1, ext_chaos, ext_diagnose, ext_faults, ext_obs, ext_overlap, ext_pipeline, ext_rack,
-    ext_refine, ext_replay, ext_scale, ext_serve, ext_staleness, fig1, fig10, fig11, fig12, fig2,
-    fig8, fig9, pool, tab2, tab3, tab4, Effort,
-};
+use laer_bench::targets::{self, RunArgs, TARGETS};
+use laer_bench::{ext_obs, ext_scale, pool, Effort};
 use std::time::Instant;
-
-/// Target order of `repro all`.
-const ALL_TARGETS: [&str; 22] = [
-    "tab2",
-    "eq1",
-    "fig1",
-    "fig2",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "tab3",
-    "tab4",
-    "ext-refine",
-    "ext-staleness",
-    "ext-rack",
-    "ext-overlap",
-    "ext-pipeline",
-    "ext-replay",
-    "ext-faults",
-    "ext-serve",
-    "ext-chaos",
-    "ext-obs",
-    "ext-diagnose",
-];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,334 +65,43 @@ fn main() {
             .and_then(|v| args.get(v + 1))
             .and_then(|v| v.parse::<f64>().ok()),
     };
-    // `ext-scale` defaults to the full N64→N4096 sweep; `--quick`
-    // restricts it to the CI smoke sizes (unlike `Effort`, which
-    // defaults to quick).
-    let scale_quick = args.iter().any(|a| a == "--quick");
+    let run_args = RunArgs { effort, iters, obs };
     let start = Instant::now();
-    let ran = dispatch(target, effort, jobs, iters, &obs, scale_quick);
-    if !ran {
-        eprintln!(
-            "usage: repro <target> [--quick|--full] [--jobs N] [--iters N] [--update-baseline] [--baseline PATH] [--tolerance F]\n\
-             targets: fig1a fig1b fig1 fig2 tab2 eq1 fig8 fig9 fig10a fig10b fig11 fig12 tab3 tab4 \
-             ext-refine ext-staleness ext-rack ext-overlap ext-pipeline ext-replay ext-faults \
-             ext-serve ext-chaos ext-obs ext-diagnose ext-scale all harness-bench"
-        );
-        std::process::exit(if target == "help" { 0 } else { 2 });
+    let ok = match target {
+        "all" => targets::run(&TARGETS, &run_args, jobs, true),
+        // `ext-scale` defaults to the full sweep; `--quick` restricts
+        // it to the CI smoke sizes (unlike `Effort`, which defaults to
+        // quick).
+        "ext-scale" => {
+            let quick = args.iter().any(|a| a == "--quick");
+            ext_scale::run_jobs(&run_args.obs, quick, jobs)
+        }
+        "harness-bench" => {
+            harness_bench();
+            true
+        }
+        name => match targets::find(name) {
+            Some(row) => targets::run(std::slice::from_ref(row), &run_args, jobs, false),
+            None => {
+                usage();
+                std::process::exit(if target == "help" { 0 } else { 2 });
+            }
+        },
+    };
+    if !ok {
+        std::process::exit(1);
     }
     eprintln!("[{target}: {:.2}s elapsed]", start.elapsed().as_secs_f64());
 }
 
-fn dispatch(
-    target: &str,
-    effort: Effort,
-    jobs: usize,
-    iters: Option<usize>,
-    obs: &ext_obs::ObsOptions,
-    scale_quick: bool,
-) -> bool {
-    match target {
-        "fig1a" => {
-            let a = fig1::fig1a();
-            for p in a.iter().step_by(4) {
-                println!(
-                    "iter {:>3}  max/mean {:.2}  shares {:?}",
-                    p.iteration,
-                    p.imbalance,
-                    p.expert_shares
-                        .iter()
-                        .map(|s| (s * 1000.0).round() / 10.0)
-                        .collect::<Vec<_>>()
-                );
-            }
-            laer_bench::output::save_json("fig1a", &a);
-        }
-        "fig1b" => {
-            let b = fig1::fig1b(effort);
-            for bar in &b {
-                println!(
-                    "{:<9} a2a {:>7.1} ms  rest {:>7.1} ms  share {:>5.1}%",
-                    bar.condition,
-                    bar.a2a * 1e3,
-                    bar.rest * 1e3,
-                    bar.a2a_fraction * 100.0
-                );
-            }
-            laer_bench::output::save_json("fig1b", &b);
-        }
-        "fig1" => {
-            fig1::run_jobs(effort, jobs);
-        }
-        "fig2" => {
-            fig2::run_jobs(jobs);
-        }
-        "tab2" => {
-            tab2::run_jobs(jobs);
-        }
-        "eq1" => {
-            eq1::run_jobs(jobs);
-        }
-        "fig8" => {
-            fig8::run_jobs(effort, jobs);
-        }
-        "fig9" => {
-            fig9::run_jobs(effort, jobs);
-        }
-        "fig10" | "fig10a" | "fig10b" => {
-            fig10::run_jobs(effort, jobs);
-        }
-        "fig11" => {
-            fig11::run_jobs(jobs);
-        }
-        "fig12" => {
-            fig12::run_jobs(effort, jobs);
-        }
-        "tab3" => {
-            tab3::run_jobs(effort, jobs);
-        }
-        "tab4" => {
-            tab4::run_jobs(jobs);
-        }
-        "ext-refine" => {
-            ext_refine::run_jobs(jobs);
-        }
-        "ext-staleness" => {
-            ext_staleness::run_jobs(jobs);
-        }
-        "ext-rack" => {
-            ext_rack::run_jobs(jobs);
-        }
-        "ext-overlap" => {
-            ext_overlap::run_jobs(jobs);
-        }
-        "ext-pipeline" => {
-            ext_pipeline::run_jobs(jobs);
-        }
-        "ext-replay" => {
-            ext_replay::run_jobs(effort, jobs);
-        }
-        "ext-faults" => {
-            ext_faults::run_jobs(jobs);
-        }
-        "ext-serve" => {
-            ext_serve::run_jobs(effort, iters, jobs);
-        }
-        "ext-chaos" => {
-            ext_chaos::run_jobs(effort, iters, jobs);
-        }
-        "ext-obs" => {
-            if !ext_obs::run_jobs(obs, jobs) {
-                std::process::exit(1);
-            }
-        }
-        "ext-diagnose" => {
-            ext_diagnose::run_jobs(effort, iters, jobs);
-        }
-        // Not part of `repro all`: the full sweep reaches N4096 and is
-        // run (or smoked with `--quick`) explicitly.
-        "ext-scale" => {
-            if !ext_scale::run_jobs(obs, scale_quick, jobs) {
-                std::process::exit(1);
-            }
-        }
-        "all" => run_all(effort, jobs, iters, obs),
-        "harness-bench" => harness_bench(),
-        _ => return false,
-    }
-    true
-}
-
-/// Deferred renderer of one target's pooled cells; returns the
-/// target's pass/fail verdict (always `true` except the `ext-obs`
-/// gate).
-type Finisher = Box<dyn FnOnce() -> bool>;
-
-/// Runs every target on one shared pool: all cells are submitted up
-/// front, executed across `jobs` workers, then rendered target by
-/// target in the fixed [`ALL_TARGETS`] order — so stdout and every
-/// artifact are byte-identical to a serial run.
-fn run_all(effort: Effort, jobs: usize, iters: Option<usize>, obs: &ext_obs::ObsOptions) {
-    let mut batch = Batch::new();
-    let mut finishers: Vec<(&'static str, Finisher)> = Vec::new();
-    for t in ALL_TARGETS {
-        let f: Finisher = match t {
-            "tab2" => {
-                let p = tab2::submit(&mut batch);
-                Box::new(move || {
-                    tab2::finish(p);
-                    true
-                })
-            }
-            "eq1" => {
-                let p = eq1::submit(&mut batch);
-                Box::new(move || {
-                    eq1::finish(p);
-                    true
-                })
-            }
-            "fig1" => {
-                let p = fig1::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig1::finish(p);
-                    true
-                })
-            }
-            "fig2" => {
-                let p = fig2::submit(&mut batch);
-                Box::new(move || {
-                    fig2::finish(p);
-                    true
-                })
-            }
-            "fig8" => {
-                let p = fig8::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig8::finish(p);
-                    true
-                })
-            }
-            "fig9" => {
-                let p = fig9::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig9::finish(p);
-                    true
-                })
-            }
-            "fig10" => {
-                let p = fig10::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig10::finish(p);
-                    true
-                })
-            }
-            "fig11" => {
-                let p = fig11::submit(&mut batch);
-                Box::new(move || {
-                    fig11::finish(p);
-                    true
-                })
-            }
-            "fig12" => {
-                let p = fig12::submit(&mut batch, effort);
-                Box::new(move || {
-                    fig12::finish(p);
-                    true
-                })
-            }
-            "tab3" => {
-                let p = tab3::submit(&mut batch, effort);
-                Box::new(move || {
-                    tab3::finish(p);
-                    true
-                })
-            }
-            "tab4" => {
-                let p = tab4::submit(&mut batch);
-                Box::new(move || {
-                    tab4::finish(p);
-                    true
-                })
-            }
-            "ext-refine" => {
-                let p = ext_refine::submit(&mut batch);
-                Box::new(move || {
-                    ext_refine::finish(p);
-                    true
-                })
-            }
-            "ext-staleness" => {
-                let p = ext_staleness::submit(&mut batch);
-                Box::new(move || {
-                    ext_staleness::finish(p);
-                    true
-                })
-            }
-            "ext-rack" => {
-                let p = ext_rack::submit(&mut batch);
-                Box::new(move || {
-                    ext_rack::finish(p);
-                    true
-                })
-            }
-            "ext-overlap" => {
-                let p = ext_overlap::submit(&mut batch);
-                Box::new(move || {
-                    ext_overlap::finish(p);
-                    true
-                })
-            }
-            "ext-pipeline" => {
-                let p = ext_pipeline::submit(&mut batch);
-                Box::new(move || {
-                    ext_pipeline::finish(p);
-                    true
-                })
-            }
-            "ext-replay" => {
-                let p = ext_replay::submit(&mut batch, effort);
-                Box::new(move || {
-                    ext_replay::finish(p);
-                    true
-                })
-            }
-            "ext-faults" => {
-                let p = ext_faults::submit(&mut batch);
-                Box::new(move || {
-                    ext_faults::finish(p);
-                    true
-                })
-            }
-            "ext-serve" => {
-                let p = ext_serve::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_serve::finish(p);
-                    true
-                })
-            }
-            "ext-chaos" => {
-                let p = ext_chaos::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_chaos::finish(p);
-                    true
-                })
-            }
-            "ext-obs" => {
-                let p = ext_obs::submit(&mut batch);
-                let opts = obs.clone();
-                Box::new(move || ext_obs::finish(&opts, p))
-            }
-            "ext-diagnose" => {
-                let p = ext_diagnose::submit(&mut batch, effort, iters);
-                Box::new(move || {
-                    ext_diagnose::finish(p);
-                    true
-                })
-            }
-            other => unreachable!("unlisted target {other}"),
-        };
-        finishers.push((t, f));
-    }
-    let stats = batch.run(jobs);
-    let mut ok = true;
-    for (t, finish) in finishers {
-        println!("\n================ {t} ================\n");
-        ok &= finish();
-        let compute: f64 = stats
-            .iter()
-            .filter(|s| s.label.split('/').next() == Some(target_prefix(t)))
-            .map(|s| s.seconds)
-            .sum();
-        eprintln!("[{t}: {compute:.2}s compute across cells]");
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// Maps a target name to its cell-label prefix (the part before the
-/// first `/` in a job-stat label). They coincide for every target.
-fn target_prefix(target: &'static str) -> &'static str {
-    target
+/// Prints the usage text, listing every table row with its aliases.
+fn usage() {
+    let names: Vec<&str> = TARGETS.iter().flat_map(targets::Target::names).collect();
+    eprintln!(
+        "usage: repro <target> [--quick|--full] [--jobs N] [--iters N] [--update-baseline] [--baseline PATH] [--tolerance F]\n\
+         targets: {} ext-scale all harness-bench",
+        names.join(" ")
+    );
 }
 
 /// Path of the informational harness benchmark report at the repo root.

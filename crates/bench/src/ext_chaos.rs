@@ -418,20 +418,6 @@ pub fn finish(pending: Pending) -> Vec<ChaosRow> {
     all
 }
 
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(effort: Effort, requests_override: Option<usize>, workers: usize) -> Vec<ChaosRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep; saves the rows, the replayable fault
-/// plans and the headline trace/journal/metrics under `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> Vec<ChaosRow> {
-    run_jobs(effort, requests_override, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

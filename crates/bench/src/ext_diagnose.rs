@@ -466,25 +466,6 @@ pub fn finish(pending: Pending) -> DiagnoseSummary {
     summary
 }
 
-/// Runs both sweeps across `workers` pool threads.
-pub fn run_jobs(
-    effort: Effort,
-    requests_override: Option<usize>,
-    workers: usize,
-) -> DiagnoseSummary {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints both sweeps; saves `ext_diagnose.json`, the
-/// flow-event Chrome trace and the headline journal/metrics under
-/// `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> DiagnoseSummary {
-    run_jobs(effort, requests_override, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,8 +534,14 @@ mod tests {
     /// summary exactly.
     #[test]
     fn summary_is_identical_across_job_counts() {
-        let serial = run_jobs(Effort::Quick, Some(40), 1);
-        let parallel = run_jobs(Effort::Quick, Some(40), 3);
+        let run_with = |workers: usize| {
+            let mut batch = Batch::new();
+            let pending = submit(&mut batch, Effort::Quick, Some(40));
+            batch.run(workers);
+            finish(pending)
+        };
+        let serial = run_with(1);
+        let parallel = run_with(3);
         let a = serde_json::to_string(&serial).expect("serialize");
         let b = serde_json::to_string(&parallel).expect("serialize");
         assert_eq!(a, b, "summaries must be byte-identical across --jobs");

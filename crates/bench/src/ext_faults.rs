@@ -182,19 +182,6 @@ pub fn finish(pending: Pending) -> Vec<FaultRow> {
     rows
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<FaultRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the study.
-pub fn run() -> Vec<FaultRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -348,21 +348,6 @@ pub fn finish(opts: &ObsOptions, pending: Pending) -> bool {
     }
 }
 
-/// Runs the study across `workers` pool threads.
-pub fn run_jobs(opts: &ObsOptions, workers: usize) -> bool {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(opts, pending)
-}
-
-/// Runs the calibrated telemetry configuration, writes every artifact
-/// and gates against the committed baseline. Returns `true` when the
-/// gate passes (or the baseline was just rewritten).
-pub fn run(opts: &ObsOptions) -> bool {
-    run_jobs(opts, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

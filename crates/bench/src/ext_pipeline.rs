@@ -243,19 +243,6 @@ pub fn finish(pending: Pending) -> Vec<PipelineRow> {
     rows
 }
 
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(workers: usize) -> Vec<PipelineRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep.
-pub fn run() -> Vec<PipelineRow> {
-    run_jobs(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

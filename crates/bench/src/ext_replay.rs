@@ -279,19 +279,6 @@ pub fn finish(pending: Pending) -> Vec<ReplayRow> {
     rows
 }
 
-/// Runs the sweep across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<ReplayRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the sweep.
-pub fn run(effort: Effort) -> Vec<ReplayRow> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -297,21 +297,6 @@ pub fn finish(pending: Pending) -> Vec<ServeRow> {
     all
 }
 
-/// Runs both sweeps across `workers` pool threads.
-pub fn run_jobs(effort: Effort, requests_override: Option<usize>, workers: usize) -> Vec<ServeRow> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort, requests_override);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints both sweeps; saves the rows as JSON and the headline
-/// `laer` run's timeline (with its charged `relayout` spans) as a Chrome
-/// trace, both under `target/repro/`.
-pub fn run(effort: Effort, requests_override: Option<usize>) -> Vec<ServeRow> {
-    run_jobs(effort, requests_override, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

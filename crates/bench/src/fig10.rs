@@ -139,19 +139,6 @@ pub fn finish(pending: Pending) -> Vec<Fig10Row> {
     rows
 }
 
-/// Runs the figure across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Fig10Row> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints Fig. 10.
-pub fn run(effort: Effort) -> Vec<Fig10Row> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -172,19 +172,6 @@ pub fn finish(pending: Pending) -> Vec<Fig12Bar> {
     bars
 }
 
-/// Runs the ablation across `workers` pool threads.
-pub fn run_jobs(effort: Effort, workers: usize) -> Vec<Fig12Bar> {
-    let mut batch = Batch::new();
-    let pending = submit(&mut batch, effort);
-    batch.run(workers);
-    finish(pending)
-}
-
-/// Runs and prints the ablation.
-pub fn run(effort: Effort) -> Vec<Fig12Bar> {
-    run_jobs(effort, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

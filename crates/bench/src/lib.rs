@@ -3,7 +3,8 @@
 //!
 //! Each module computes one experiment's data, returns it as a
 //! serializable struct and renders the same rows/series the paper
-//! reports. The `repro` binary dispatches on experiment id:
+//! reports. The `repro` binary runs rows of the [`targets`] table by
+//! experiment id:
 //!
 //! ```text
 //! cargo run --release -p laer-bench --bin repro -- tab2
@@ -43,6 +44,7 @@ pub mod pool;
 pub mod tab2;
 pub mod tab3;
 pub mod tab4;
+pub mod targets;
 
 /// Effort level of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

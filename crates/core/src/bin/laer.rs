@@ -504,7 +504,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
         .with_cluster(devices / 8, 8)
         .with_layers(4)
         .with_iterations(trace.len().min(30), 2);
-    let r = run_experiment_on_trace(&cfg, &trace);
+    let r = run_experiment_on_trace(&cfg, &trace).map_err(|e| e.to_string())?;
     print_result(&r);
     Ok(())
 }

@@ -132,15 +132,6 @@ pub struct PlannerConfig {
     pub scheme: ReplicaScheme,
     /// Seed for the perturbation RNG.
     pub seed: u64,
-    /// Disables candidate-scheme deduplication before evaluation.
-    /// Alg. 2's random perturbations frequently collide (a perturbation
-    /// of an all-ones scheme is a no-op, and independent draws can land
-    /// on the same scheme), so by default identical candidates are
-    /// evaluated once — skipping a duplicate can never change the best
-    /// plan because ties break toward the first occurrence. The flag
-    /// exists for A/B measurement (`bench_planner`).
-    #[serde(default)]
-    pub dedup_disabled: bool,
     /// Chunk count of the executor's chunked dispatch/combine pipeline
     /// that candidate plans are priced for
     /// ([`CostBreakdown::pipelined`]). `0` and `1` both mean the
@@ -168,7 +159,6 @@ impl PlannerConfig {
             epsilon: 4,
             scheme: ReplicaScheme::Both,
             seed: 0,
-            dedup_disabled: false,
             num_chunks: 0,
             predictor: crate::PredictorKind::Ema,
         }
@@ -185,13 +175,6 @@ impl PlannerConfig {
     /// (clamped to at least 1).
     pub fn with_num_chunks(mut self, num_chunks: usize) -> Self {
         self.num_chunks = num_chunks.max(1);
-        self
-    }
-
-    /// Enables or disables candidate deduplication (on by default; the
-    /// off switch exists for benchmarking the dedup win).
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup_disabled = !dedup;
         self
     }
 
@@ -284,18 +267,16 @@ impl Planner {
         set
     }
 
-    /// Applies candidate deduplication unless the configuration turned it
-    /// off (`dedup_disabled`). Public so external fan-out harnesses (the
+    /// Drops repeated candidate schemes, keeping first occurrences.
+    /// Alg. 2's random perturbations frequently collide (a perturbation
+    /// of an all-ones scheme is a no-op, and independent draws can land
+    /// on the same scheme); duplicates cost the same and ties break
+    /// toward the first occurrence, so dropping repeats never changes
+    /// the chosen plan. Public so external fan-out harnesses (the
     /// `bench::pool` scheme-per-worker path) evaluate exactly the
-    /// candidate set the serial tuner would — duplicates cost the same
-    /// and ties break toward the first occurrence, so dropping repeats
-    /// never changes the chosen plan.
+    /// candidate set the serial tuner would.
     pub fn unique_schemes(&self, schemes: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
-        if self.cfg.dedup_disabled {
-            schemes
-        } else {
-            dedup_schemes(schemes)
-        }
+        dedup_schemes(schemes)
     }
 
     /// Alg. 2 lines 9–16: evaluates every candidate and returns the best
@@ -717,16 +698,16 @@ mod tests {
 
     /// 8 experts on 4 devices with `C = 2` leave exactly one slot per
     /// expert, so `even_replicas` is all-ones and `perturb` has no donor
-    /// — every perturbed candidate collides with the base scheme. With
-    /// dedup the planner must evaluate exactly once; without it, once per
-    /// candidate. Both must return the same plan.
+    /// — every perturbed candidate collides with the base scheme. The
+    /// planner must evaluate that scheme exactly once and return the
+    /// first-occurrence argmin over all four raw candidates.
     #[test]
     fn duplicate_candidates_evaluate_once() {
         let topo = Topology::single_node(4).unwrap();
         let cfg = PlannerConfig::new(2)
             .with_scheme(ReplicaScheme::EvenOnly)
             .with_epsilon(4);
-        let p = Planner::new(cfg.clone(), CostParams::mixtral_8x7b(), topo.clone());
+        let p = Planner::new(cfg, CostParams::mixtral_8x7b(), topo.clone());
         let d = RoutingGenerator::new(RoutingGeneratorConfig::new(4, 8, 1024).with_seed(11))
             .next_iteration();
         let schemes = p.candidate_schemes(&d);
@@ -740,15 +721,22 @@ mod tests {
         let deduped = p.plan(&d);
         assert_eq!(eval_count(), 1, "dedup must evaluate each scheme once");
 
-        let p_off = Planner::new(
-            cfg.with_dedup(false),
-            CostParams::mixtral_8x7b(),
-            topo.clone(),
+        let loads = d.expert_loads();
+        let mut raw: Option<Plan> = None;
+        for scheme in &schemes {
+            let plan = p.evaluate_scheme(scheme, &loads, &d);
+            if raw
+                .as_ref()
+                .is_none_or(|b| plan.predicted.total() < b.predicted.total())
+            {
+                raw = Some(plan);
+            }
+        }
+        assert_eq!(
+            Some(&deduped),
+            raw.as_ref(),
+            "dedup must not change the plan"
         );
-        reset_eval_count();
-        let raw = p_off.plan(&d);
-        assert_eq!(eval_count(), 4, "dedup off must evaluate every candidate");
-        assert_eq!(deduped, raw, "dedup must not change the chosen plan");
 
         // The budgeted and degraded paths share the same seen-set.
         reset_eval_count();
@@ -774,17 +762,6 @@ mod tests {
             dedup_schemes(schemes),
             vec![vec![2, 1, 1], vec![1, 2, 1], vec![1, 1, 2]]
         );
-    }
-
-    #[test]
-    fn planner_config_dedup_default_round_trips() {
-        let cfg = PlannerConfig::new(2);
-        assert!(!cfg.dedup_disabled);
-        // Pre-dedup serialized configs lack the field; `#[serde(default)]`
-        // must fill it as "dedup on".
-        let legacy = "{\"capacity\":2,\"epsilon\":4,\"scheme\":\"Both\",\"seed\":0}";
-        let parsed: PlannerConfig = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed, cfg);
     }
 
     /// `num_chunks` defaults to the unchunked pricing and older

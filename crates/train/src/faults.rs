@@ -61,6 +61,30 @@ pub enum TrainError {
     Recovery(SystemError),
     /// A checkpoint could not be restored.
     Checkpoint(String),
+    /// A replayed routing trace does not fit the experiment.
+    TraceShape(TraceShapeError),
+}
+
+/// How a replayed routing trace disagrees with the experiment's
+/// cluster and model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceShapeError {
+    /// The trace holds no iterations.
+    Empty,
+    /// The trace covers a different number of devices.
+    Devices {
+        /// Devices in the trace.
+        trace: usize,
+        /// Devices in the configured cluster.
+        config: usize,
+    },
+    /// The trace routes to a different number of experts.
+    Experts {
+        /// Experts in the trace.
+        trace: usize,
+        /// Experts in the configured model.
+        config: usize,
+    },
 }
 
 impl fmt::Display for TrainError {
@@ -68,6 +92,17 @@ impl fmt::Display for TrainError {
         match self {
             TrainError::Recovery(e) => write!(f, "unrecoverable fault: {e}"),
             TrainError::Checkpoint(msg) => write!(f, "checkpoint restore failed: {msg}"),
+            TrainError::TraceShape(TraceShapeError::Empty) => {
+                write!(f, "trace has no iterations")
+            }
+            TrainError::TraceShape(TraceShapeError::Devices { trace, config }) => write!(
+                f,
+                "trace covers {trace} devices but the cluster has {config}"
+            ),
+            TrainError::TraceShape(TraceShapeError::Experts { trace, config }) => write!(
+                f,
+                "trace routes to {trace} experts but the model has {config}"
+            ),
         }
     }
 }
@@ -299,7 +334,7 @@ impl FaultRunner {
             }
             layer_timings.push(plan.timings);
         }
-        let opts = self.system.schedule_options();
+        let opts = self.cfg.schedule_options(self.system.as_ref());
         let mut engine = Engine::new(&self.topo);
         let t = schedule_iteration_on(&mut engine, &self.topo, &exec, &layer_timings, opts);
         record_fault_spans(engine.timeline_mut(), &active, 0.0, t.total);
@@ -426,16 +461,20 @@ mod tests {
     }
 
     /// With an empty fault plan the runner reproduces `run_experiment`'s
-    /// iteration times exactly.
+    /// iteration times exactly, chunked pipeline included.
     #[test]
     fn empty_plan_matches_run_experiment() {
-        let cfg = quick(SystemKind::Laer);
-        let baseline = run_experiment(&cfg);
-        let mut runner = FaultRunner::new(cfg.clone(), FaultPlan::new());
-        let reports = runner.run((cfg.warmup + cfg.iterations) as u64).unwrap();
-        let times: Vec<f64> = reports[cfg.warmup..].iter().map(|r| r.time).collect();
-        assert_eq!(times, baseline.iteration_times);
-        assert!(reports.iter().all(|r| !r.degraded));
+        for cfg in [
+            quick(SystemKind::Laer),
+            quick(SystemKind::VanillaEp).with_num_chunks(4),
+        ] {
+            let baseline = run_experiment(&cfg);
+            let mut runner = FaultRunner::new(cfg.clone(), FaultPlan::new());
+            let reports = runner.run((cfg.warmup + cfg.iterations) as u64).unwrap();
+            let times: Vec<f64> = reports[cfg.warmup..].iter().map(|r| r.time).collect();
+            assert_eq!(times, baseline.iteration_times, "{:?}", cfg.system);
+            assert!(reports.iter().all(|r| !r.degraded));
+        }
     }
 
     /// Identical `(seed, FaultPlan)` pairs produce bit-identical runs.

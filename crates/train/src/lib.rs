@@ -42,7 +42,7 @@ pub mod scaling;
 
 pub use convergence::{ConvergenceModel, LossPoint};
 pub use faults::{
-    window_throughput, FaultRunner, IterationReport, RunnerCheckpoint, TrainError,
+    window_throughput, FaultRunner, IterationReport, RunnerCheckpoint, TraceShapeError, TrainError,
     CHECKPOINT_RELOAD, COLLECTIVE_TIMEOUT, DETECTION_DELAY, REPLAN_PENALTY,
 };
 pub use rl::{run_rl, run_rl_observed, RlConfig, RlEpochReport, RlResult};

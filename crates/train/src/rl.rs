@@ -59,9 +59,6 @@ pub struct RlConfig {
     pub seq_len: usize,
     /// Seed of the demand process, the shuffle and the noise streams.
     pub seed: u64,
-    /// Executor pipeline chunk count (0/1 = whole-iteration schedule).
-    #[serde(default)]
-    pub num_chunks: usize,
     /// Rollout→train epochs to run.
     pub epochs: usize,
     /// Prompts recorded per rollout phase = iterations replayed per
@@ -96,7 +93,6 @@ impl RlConfig {
             tokens_per_device: 16 * 1024,
             seq_len: 8192,
             seed: 0,
-            num_chunks: 0,
             epochs: 3,
             rollouts_per_epoch: 10,
             replay_shuffle: false,
@@ -274,18 +270,8 @@ pub fn run_rl_observed(cfg: &RlConfig, obs: &mut Observer) -> (RlResult, Timelin
     let topo = base.topology();
     let n = topo.num_devices();
     let label = cfg.system_label();
-    let mut system = {
-        let sys = LaerSystem::new(cfg.context());
-        if cfg.num_chunks > 0 {
-            sys.with_num_chunks(cfg.num_chunks)
-        } else {
-            sys
-        }
-    };
-    let mut opts = system.schedule_options();
-    if cfg.num_chunks > 0 {
-        opts = opts.with_num_chunks(cfg.num_chunks);
-    }
+    let mut system = LaerSystem::new(cfg.context());
+    let opts = system.schedule_options();
     declare_rl_metrics(obs);
 
     let mut gens = base.layer_generators();

@@ -1,11 +1,12 @@
 //! The experiment driver.
 
+use crate::faults::{TraceShapeError, TrainError};
 use laer_baselines::{
     predicted_bottleneck_device, FasterMoeSystem, FlexMoeSystem, FsdpEpSystem, LaerSystem,
     MegatronSystem, MoeSystem, SmartMoeSystem, SystemContext, SystemKind, VanillaEpSystem,
 };
 use laer_cluster::Topology;
-use laer_fsep::{schedule_iteration, LayerTimings};
+use laer_fsep::{schedule_iteration, LayerTimings, ScheduleOptions};
 use laer_model::{GpuSpec, ModelPreset};
 use laer_obs::{
     critpath, journal, AuditRecord, BlameEntry, CritPathRecord, Histogram, Observer, WhatIf,
@@ -183,6 +184,17 @@ impl ExperimentConfig {
         }
     }
 
+    /// `system`'s schedule options with this experiment's pipeline chunk
+    /// count applied: the one place every runner derives them.
+    pub(crate) fn schedule_options(&self, system: &dyn MoeSystem) -> ScheduleOptions {
+        let opts = system.schedule_options();
+        if self.num_chunks > 0 {
+            opts.with_num_chunks(self.num_chunks)
+        } else {
+            opts
+        }
+    }
+
     /// The routing-generator configuration behind layer `layer`'s
     /// synthetic trace. Public so other drivers can continue the same
     /// popularity process: the serving extension resumes this exact
@@ -320,33 +332,40 @@ pub fn run_experiment_diagnosed(
 /// layer of iteration `i` consumes the trace's matrix `i` (Appendix D's
 /// trace-driven methodology). Iterations beyond the trace wrap around.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the trace is empty or its shape disagrees with the
-/// configuration's cluster and model.
+/// [`TrainError::TraceShape`] if the trace is empty or any iteration's
+/// device or expert count disagrees with the configuration's cluster
+/// and model.
 pub fn run_experiment_on_trace(
     cfg: &ExperimentConfig,
     trace: &laer_routing::RoutingTrace,
-) -> ExperimentResult {
-    let Some(first) = trace.get(0) else {
-        panic!("trace must contain iterations");
-    };
-    assert_eq!(
-        first.num_devices(),
-        cfg.nodes * cfg.devices_per_node,
-        "trace device count"
-    );
-    assert_eq!(
-        first.num_experts(),
-        cfg.preset.config().experts(),
-        "trace expert count"
-    );
-    run_with_demands(cfg, |_, iter| {
+) -> Result<ExperimentResult, TrainError> {
+    if trace.is_empty() {
+        return Err(TrainError::TraceShape(TraceShapeError::Empty));
+    }
+    let devices = cfg.nodes * cfg.devices_per_node;
+    let experts = cfg.preset.config().experts();
+    for m in trace.iter() {
+        if m.num_devices() != devices {
+            return Err(TrainError::TraceShape(TraceShapeError::Devices {
+                trace: m.num_devices(),
+                config: devices,
+            }));
+        }
+        if m.num_experts() != experts {
+            return Err(TrainError::TraceShape(TraceShapeError::Experts {
+                trace: m.num_experts(),
+                config: experts,
+            }));
+        }
+    }
+    Ok(run_with_demands(cfg, |_, iter| {
         trace
             .get(iter as usize % trace.len())
             .unwrap_or_else(|| unreachable!("wrapped index in range"))
             .clone()
-    })
+    }))
 }
 
 fn run_with_demands(
@@ -424,10 +443,7 @@ fn run_with_demands_observed(
     let n = topo.num_devices();
     let mut system = cfg.build_system();
     let name = system.name();
-    let mut opts = system.schedule_options();
-    if cfg.num_chunks > 0 {
-        opts = opts.with_num_chunks(cfg.num_chunks);
-    }
+    let opts = cfg.schedule_options(system.as_ref());
     if let Some(o) = obs.as_deref_mut() {
         declare_train_metrics(o);
         if cfg.record_deps {
@@ -752,17 +768,49 @@ mod tests {
             .with_seed(3),
             4, // shorter than warmup+iterations: exercises wrap-around
         );
-        let r = run_experiment_on_trace(&cfg, &trace);
+        let r = run_experiment_on_trace(&cfg, &trace).expect("trace fits");
         assert!(r.tokens_per_second > 0.0);
         assert_eq!(r.iteration_times.len(), cfg.iterations);
     }
 
     #[test]
-    #[should_panic(expected = "trace device count")]
-    fn trace_shape_mismatch_panics() {
-        use laer_routing::{RoutingGeneratorConfig, RoutingTrace};
+    fn trace_shape_mismatch_is_an_error() {
+        use laer_routing::{RoutingGenerator, RoutingGeneratorConfig, RoutingTrace, TraceMeta};
         let cfg = quick(SystemKind::FsdpEp);
-        let trace = RoutingTrace::record(RoutingGeneratorConfig::new(8, 8, 64).with_seed(1), 2);
-        let _ = run_experiment_on_trace(&cfg, &trace);
+        let record = |devices, experts| {
+            RoutingTrace::record(
+                RoutingGeneratorConfig::new(devices, experts, 64).with_seed(1),
+                2,
+            )
+        };
+        assert_eq!(
+            run_experiment_on_trace(&cfg, &record(8, 8)).err(),
+            Some(TrainError::TraceShape(TraceShapeError::Devices {
+                trace: 8,
+                config: 32
+            }))
+        );
+        let experts = cfg.preset.config().experts();
+        assert_eq!(
+            run_experiment_on_trace(&cfg, &record(32, 2 * experts)).err(),
+            Some(TrainError::TraceShape(TraceShapeError::Experts {
+                trace: 2 * experts,
+                config: experts
+            }))
+        );
+        assert_eq!(
+            run_experiment_on_trace(&cfg, &RoutingTrace::new(TraceMeta::default())).err(),
+            Some(TrainError::TraceShape(TraceShapeError::Empty))
+        );
+        // Only a later iteration is off: checked before any runs.
+        let mut mixed = record(32, experts);
+        mixed.record_from(
+            &mut RoutingGenerator::new(RoutingGeneratorConfig::new(32, 2 * experts, 64)),
+            1,
+        );
+        assert!(matches!(
+            run_experiment_on_trace(&cfg, &mixed),
+            Err(TrainError::TraceShape(TraceShapeError::Experts { .. }))
+        ));
     }
 }
